@@ -19,6 +19,16 @@ from .tensor import DType, ShapeError, Tensor, matmul_mixed
 MODES = ("float32", "mixed")
 
 
+def _store(f32_arr, dtype: DType) -> Tensor:
+    """Round an FP32 result into ``dtype``.
+
+    A module function rather than a Tape method, so backward closures never
+    reference their tape: a closure holding ``self`` would put every tape in
+    a reference cycle that only the garbage collector can free.
+    """
+    return Tensor.from_array(np.asarray(f32_arr, dtype=np.float32), dtype)
+
+
 class Variable:
     """Named, optionally trainable parameter; dtype follows the model mode."""
 
@@ -89,17 +99,14 @@ class Tape:
         self.ops.append(_Op(kind, inputs, out, backward, is_loss))
         return out
 
-    def _store(self, f32_arr, dtype: DType) -> Tensor:
-        return Tensor.from_array(np.asarray(f32_arr, dtype=np.float32), dtype)
-
     def matmul(self, a: Node, b: Node) -> Node:
         out = matmul_mixed(a.value, b.value, self.model_dtype)
         a32, b32 = a.value.f32(), b.value.f32()
 
         def backward(g: Tensor):
             g32 = g.f32()
-            da = self._store(g32 @ b32.T, a.value.dtype)
-            db = self._store(a32.T @ g32, b.value.dtype)
+            da = _store(g32 @ b32.T, a.value.dtype)
+            db = _store(a32.T @ g32, b.value.dtype)
             return [da, db]
 
         return self._emit("matmul", [a, b], out, backward)
@@ -107,7 +114,7 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"add: shapes {a.value.shape} vs {b.value.shape}")
-        out = self._store(a.value.f32() + b.value.f32(), self.model_dtype)
+        out = _store(a.value.f32() + b.value.f32(), self.model_dtype)
 
         def backward(g: Tensor):
             return [g, g]
@@ -117,11 +124,11 @@ class Tape:
     def bias_add(self, x: Node, b: Node) -> Node:
         if x.value.shape[-1] != b.value.shape[-1] or b.value.data.ndim != 1:
             raise ShapeError(f"bias_add: shapes {x.value.shape} vs {b.value.shape}")
-        out = self._store(x.value.f32() + b.value.f32(), self.model_dtype)
+        out = _store(x.value.f32() + b.value.f32(), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            db = self._store(g32.reshape(-1, g32.shape[-1]).sum(axis=0, dtype=np.float32),
+            db = _store(g32.reshape(-1, g32.shape[-1]).sum(axis=0, dtype=np.float32),
                              b.value.dtype)
             return [g, db]
 
@@ -131,49 +138,49 @@ class Tape:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"mul: shapes {a.value.shape} vs {b.value.shape}")
         a32, b32 = a.value.f32(), b.value.f32()
-        out = self._store(a32 * b32, self.model_dtype)
+        out = _store(a32 * b32, self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            return [self._store(g32 * b32, a.value.dtype),
-                    self._store(g32 * a32, b.value.dtype)]
+            return [_store(g32 * b32, a.value.dtype),
+                    _store(g32 * a32, b.value.dtype)]
 
         return self._emit("mul", [a, b], out, backward)
 
     def scale(self, x: Node, c: float) -> Node:
         c32 = np.float32(c)
-        out = self._store(x.value.f32() * c32, self.model_dtype)
+        out = _store(x.value.f32() * c32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [self._store(g.f32() * c32, x.value.dtype)]
+            return [_store(g.f32() * c32, x.value.dtype)]
 
         return self._emit("scale", [x], out, backward)
 
     def tanh(self, x: Node) -> Node:
         y32 = np.tanh(x.value.f32())
-        out = self._store(y32, self.model_dtype)
+        out = _store(y32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [self._store(g.f32() * (1.0 - y32 * y32), x.value.dtype)]
+            return [_store(g.f32() * (1.0 - y32 * y32), x.value.dtype)]
 
         return self._emit("tanh", [x], out, backward)
 
     def sigmoid(self, x: Node) -> Node:
         y32 = 1.0 / (1.0 + np.exp(-x.value.f32()))
-        out = self._store(y32, self.model_dtype)
+        out = _store(y32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [self._store(g.f32() * y32 * (1.0 - y32), x.value.dtype)]
+            return [_store(g.f32() * y32 * (1.0 - y32), x.value.dtype)]
 
         return self._emit("sigmoid", [x], out, backward)
 
     def relu(self, x: Node) -> Node:
         x32 = x.value.f32()
-        out = self._store(np.maximum(x32, 0.0), self.model_dtype)
+        out = _store(np.maximum(x32, 0.0), self.model_dtype)
         pos = x32 > 0
 
         def backward(g: Tensor):
-            return [self._store(g.f32() * pos, x.value.dtype)]
+            return [_store(g.f32() * pos, x.value.dtype)]
 
         return self._emit("relu", [x], out, backward)
 
@@ -186,7 +193,7 @@ class Tape:
         def backward(g: Tensor):
             acc = np.zeros(table.value.shape, dtype=np.float32)
             np.add.at(acc, ids.reshape(-1), g.f32().reshape(-1, table.value.shape[1]))
-            return [self._store(acc, table.value.dtype)]
+            return [_store(acc, table.value.dtype)]
 
         return self._emit("embedding_gather", [table], out, backward)
 
@@ -218,12 +225,12 @@ class Tape:
         q32, s32 = query.value.f32(), states.value.f32()
         if q32.shape[-1] != s32.shape[-1]:
             raise ShapeError(f"attn_scores: hidden {q32.shape} vs {s32.shape}")
-        out = self._store(np.einsum("bh,bth->bt", q32, s32, dtype=np.float32), self.model_dtype)
+        out = _store(np.einsum("bh,bth->bt", q32, s32, dtype=np.float32), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            dq = self._store(np.einsum("bt,bth->bh", g32, s32), query.value.dtype)
-            ds = self._store(np.einsum("bt,bh->bth", g32, q32), states.value.dtype)
+            dq = _store(np.einsum("bt,bth->bh", g32, s32), query.value.dtype)
+            ds = _store(np.einsum("bt,bh->bth", g32, q32), states.value.dtype)
             return [dq, ds]
 
         return self._emit("attn_scores", [query, states], out, backward)
@@ -239,24 +246,24 @@ class Tape:
         shifted = x - np.max(np.where(m > 0, x, -np.inf), axis=-1, keepdims=True)
         e = np.exp(shifted, dtype=np.float32) * m
         w32 = (e / np.sum(e, axis=-1, keepdims=True, dtype=np.float32)).astype(np.float32)
-        out = self._store(w32, self.model_dtype)
+        out = _store(w32, self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
             dot = np.sum(g32 * w32, axis=-1, keepdims=True, dtype=np.float32)
-            return [self._store((g32 - dot) * w32, scores.value.dtype)]
+            return [_store((g32 - dot) * w32, scores.value.dtype)]
 
         return self._emit("attn_weights", [scores], out, backward)
 
     def attn_context(self, weights: Node, states: Node) -> Node:
         """Convex combination of states: [b,t] x [b,t,h] -> [b,h]."""
         w32, s32 = weights.value.f32(), states.value.f32()
-        out = self._store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
+        out = _store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            dw = self._store(np.einsum("bh,bth->bt", g32, s32), weights.value.dtype)
-            ds = self._store(np.einsum("bt,bh->bth", w32, g32), states.value.dtype)
+            dw = _store(np.einsum("bh,bth->bt", g32, s32), weights.value.dtype)
+            ds = _store(np.einsum("bt,bh->bth", w32, g32), states.value.dtype)
             return [dw, ds]
 
         return self._emit("attn_context", [weights, states], out, backward)
@@ -290,7 +297,7 @@ class Tape:
             d = probs.copy()
             d[b_idx, t_idx, targets] -= 1.0
             d *= (m * (seed / np.float32(n_valid)))[..., None]
-            return [self._store(d, logits.value.dtype)]
+            return [_store(d, logits.value.dtype)]
 
         return self._emit("softmax_cross_entropy", [logits], out, backward, is_loss=True)
 
@@ -301,7 +308,7 @@ class Tape:
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [self._store(np.full(x.value.shape, seed / np.float32(n), dtype=np.float32),
+            return [_store(np.full(x.value.shape, seed / np.float32(n), dtype=np.float32),
                                 x.value.dtype)]
 
         return self._emit("reduce_mean", [x], out, backward, is_loss=True)
@@ -312,7 +319,7 @@ class Tape:
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [self._store(np.full(x.value.shape, seed, dtype=np.float32), x.value.dtype)]
+            return [_store(np.full(x.value.shape, seed, dtype=np.float32), x.value.dtype)]
 
         return self._emit("reduce_sum", [x], out, backward, is_loss=True)
 

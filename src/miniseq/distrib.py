@@ -6,6 +6,13 @@ two collectives: a flag-OR (did anyone overflow?) and a ring allreduce of
 the unscaled FP32 gradients. In tower mode a single process steps all
 replicas against one shared parameter store.
 
+In-process allreduce workers are persistent threads, started once per group,
+and they take turns: a worker computes only while it holds the transport's
+turn and lends it out while it waits for a message, so one thread runs
+Python at a time instead of K threads contending for the GIL. That buys no
+parallelism; one OS process per rank over TcpTransport is the path to
+using more than one core.
+
 The ring keeps the classic two-phase shape (K-1 reduce-scatter exchanges,
 then K-1 allgather exchanges, chunk size ceil(n/K)), but contributions ride
 raw to each chunk's finalizer, which sums them in ascending rank order in
@@ -28,6 +35,8 @@ import socket
 import struct
 import threading
 import time
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -59,6 +68,13 @@ class TransportError(RuntimeError):
     pass
 
 
+class GroupAborted(TransportError):
+    """Raised by a transport after another worker failed and aborted the group."""
+
+    def __init__(self):
+        super().__init__("group aborted")
+
+
 def frame(tag: int, payload: bytes) -> bytes:
     return struct.pack("<IB", len(payload), tag) + payload
 
@@ -79,7 +95,13 @@ def parse_chunk(payload: bytes) -> tuple[int, int, DType, np.ndarray]:
 
 
 class InProcessTransport:
-    """Per-(sender, receiver) FIFO queues shared by worker threads."""
+    """Per-(sender, receiver) FIFO queues shared by worker threads.
+
+    The transport also carries a turn: a lock that at most one worker holds
+    while it computes. A turn holder that blocks in ``recv`` on an empty
+    queue gives the turn up for the wait and takes it back before it
+    returns. Threads that never take the turn are not affected by it.
+    """
 
     kind = "in_process"
 
@@ -91,25 +113,62 @@ class InProcessTransport:
             for s in range(num_workers) for d in range(num_workers) if s != d
         }
         self._abort = threading.Event()
+        self._turn = threading.Lock()
+        self._turn_holder = None
 
     def abort(self):
         self._abort.set()
 
+    @property
+    def aborted(self) -> bool:
+        return self._abort.is_set()
+
+    @contextmanager
+    def turn(self):
+        """Hold the turn for the body (lent out only while ``recv`` waits)."""
+        self._take_turn()
+        try:
+            yield
+        finally:
+            self._give_turn()
+
+    def _take_turn(self):
+        self._turn.acquire()
+        self._turn_holder = threading.get_ident()
+
+    def _give_turn(self):
+        self._turn_holder = None
+        self._turn.release()
+
     def send(self, src: int, dst: int, message: bytes) -> None:
         if self._abort.is_set():
-            raise TransportError("group aborted")
+            raise GroupAborted()
         self._queues[(src, dst)].put(message)
 
     def recv(self, src: int, dst: int) -> bytes:
         deadline = time.monotonic() + self.timeout
-        while True:
-            if self._abort.is_set():
-                raise TransportError("group aborted")
-            try:
-                return self._queues[(src, dst)].get(timeout=0.05)
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    raise TransportError(f"recv timeout on edge {src}->{dst}") from None
+        q = self._queues[(src, dst)]
+        if self._abort.is_set():
+            raise GroupAborted()
+        try:
+            return q.get_nowait()
+        except queue.Empty:
+            pass
+        lends_turn = self._turn_holder == threading.get_ident()
+        if lends_turn:
+            self._give_turn()
+        try:
+            while True:
+                if self._abort.is_set():
+                    raise GroupAborted()
+                try:
+                    return q.get(timeout=0.05)
+                except queue.Empty:
+                    if time.monotonic() > deadline:
+                        raise TransportError(f"recv timeout on edge {src}->{dst}") from None
+        finally:
+            if lends_turn:
+                self._take_turn()
 
     def close(self):
         pass
@@ -508,11 +567,39 @@ def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
                        tokens, time.perf_counter() - t0)
 
 
-class WorkerGroup:
-    """K replicas stepping in lockstep, threads + queues inside one process.
+def _pool_worker(rank: int, replica: Replica, transport: InProcessTransport,
+                 num_workers: int, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue):
+    """Persistent allreduce worker: one step per step number received, until None.
 
-    mode "allreduce" runs one thread per worker with ring collectives;
-    mode "tower" steps all replicas sequentially against a shared store.
+    Puts ``(rank, StepMetrics | exception)`` on ``outbox`` after every step; a
+    failure aborts the transport so that the other ranks stop waiting.
+    """
+    while (step := inbox.get()) is not None:
+        try:
+            with transport.turn():
+                result = distributed_train_step(replica, transport, rank, num_workers, step)
+        except Exception as e:  # noqa: BLE001 - reported to the group, which aborts
+            transport.abort()
+            result = e
+        outbox.put((rank, result))
+
+
+def _stop_pool(inboxes: list[queue.SimpleQueue], threads: list[threading.Thread]):
+    for inbox in inboxes:
+        inbox.put(None)
+    for t in threads:
+        if t is not threading.current_thread():
+            t.join()
+
+
+class WorkerGroup:
+    """K replicas stepping in lockstep inside one process.
+
+    mode "allreduce" with K > 1 steps K persistent worker threads, started on
+    the first step, that take turns on the in-process transport (see
+    InProcessTransport) and meet in the ring collectives; close() stops them,
+    and so does dropping the group. mode "tower" steps all replicas
+    sequentially against a shared store.
     """
 
     def __init__(self, replicas: list[Replica], mode: str = "allreduce",
@@ -523,36 +610,63 @@ class WorkerGroup:
         self.mode = mode
         self.num_workers = len(replicas)
         self.transport = transport or InProcessTransport(self.num_workers)
+        self._inboxes: list[queue.SimpleQueue] = []
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._stop = None
+
+    def _start_workers(self):
+        self._inboxes = [queue.SimpleQueue() for _ in range(self.num_workers)]
+        threads = [threading.Thread(target=_pool_worker, name=f"miniseq-rank-{rank}",
+                                    args=(rank, replica, self.transport, self.num_workers,
+                                          self._inboxes[rank], self._outbox),
+                                    daemon=True)
+                   for rank, replica in enumerate(self.replicas)]
+        for t in threads:
+            t.start()
+        # the workers hold no reference to the group, so dropping it stops them
+        self._stop = weakref.finalize(self, _stop_pool, self._inboxes, threads)
+        self._stop.atexit = False
+
+    def close(self):
+        """Stop and join the worker threads; a later step starts new ones."""
+        if self._stop is not None:
+            self._stop()
+            self._stop = None
 
     def run_step(self, step: int) -> StepMetrics:
-        """One group step; returns rank-0 metrics after consensus checks."""
+        """One group step: rank-0 metrics after consensus checks, with the
+        token count of the whole group."""
         if self.mode == "tower":
             return tower_train_step(self.replicas, step)
         if self.num_workers == 1:
             return distributed_train_step(self.replicas[0], self.transport, 0, 1, step)
+        if self.transport.aborted:
+            raise TransportError(f"step {step}: the group was aborted by an earlier failure")
+        if self._stop is None:
+            self._start_workers()
+        t0 = time.perf_counter()
+        for inbox in self._inboxes:
+            inbox.put(step)
         results: list[StepMetrics | None] = [None] * self.num_workers
-        errors: list[Exception] = []
-
-        def work(rank: int):
-            try:
-                results[rank] = distributed_train_step(
-                    self.replicas[rank], self.transport, rank, self.num_workers, step)
-            except Exception as e:  # noqa: BLE001 - group-wide abort path
-                errors.append(e)
-                self.transport.abort()
-
-        threads = [threading.Thread(target=work, args=(rank,), daemon=True)
-                   for rank in range(self.num_workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise TransportError(f"worker failed: {errors[0]}") from errors[0]
+        failures: list[tuple[int, Exception]] = []
+        for _ in range(self.num_workers):
+            rank, out = self._outbox.get()
+            if isinstance(out, Exception):
+                failures.append((rank, out))
+            else:
+                results[rank] = out
+        if failures:
+            # the cause, not a rank that only saw the abort it triggered
+            rank, err = next(((r, e) for r, e in failures if not isinstance(e, GroupAborted)),
+                             failures[0])
+            raise TransportError(f"rank {rank} failed at step {step}: {err}") from err
         applied = {m.applied for m in results}
         if len(applied) != 1:
             raise RuntimeError("flag consensus violated: mixed applied/skipped outcomes")
-        return results[0]
+        metrics = results[0]
+        metrics.tokens = sum(m.tokens for m in results)
+        metrics.seconds = time.perf_counter() - t0
+        return metrics
 
     def parameter_digests(self) -> list[str]:
         return [r.parameter_digest() for r in self.replicas]
@@ -573,4 +687,5 @@ def throughput_probe(make_group, worker_counts=(1, 4), steps: int = 20,
         for s in range(warmup, warmup + steps):
             group.run_step(s)
         rates[k] = steps / (time.perf_counter() - t0)
+        group.close()
     return rates

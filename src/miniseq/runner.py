@@ -3,7 +3,8 @@
 A run is described by a Config; this module builds the worker group, drives
 the step loop, logs metrics, and handles checkpoints. With the TCP transport
 the runner launches one OS process per worker (each re-reads the config and
-joins the ring); with the in-process transport workers are threads.
+joins the ring); with the in-process transport workers are persistent threads
+that take turns (see distrib.WorkerGroup).
 """
 
 from __future__ import annotations
@@ -137,8 +138,12 @@ def _train_in_process(config: Config, mode: str, enable_logs: bool) -> RunResult
         start_step = int(manifest["step"])
     group = WorkerGroup(replicas, mode=group_mode)
     log = MetricsLog()
-    summary = _drive_steps(config, mode, group.run_step, replicas[0], log,
-                           start_step, enable_logs)
+    try:
+        # run_step already counts the tokens of every replica
+        summary = _drive_steps(config, mode, group.run_step, replicas[0], log,
+                               start_step, enable_logs, tokens_multiplier=1)
+    finally:
+        group.close()
     save_checkpoint(config.checkpoint_dir, replicas[0], config.max_steps,
                     config.content_hash())
     metrics_path = os.path.join(config.checkpoint_dir, METRICS_FILE[mode])
@@ -148,8 +153,9 @@ def _train_in_process(config: Config, mode: str, enable_logs: bool) -> RunResult
 
 
 def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: MetricsLog | None,
-                 start_step: int, enable_logs: bool, workers_multiplier: int | None = None) -> dict:
-    mult = workers_multiplier if workers_multiplier is not None else config.num_workers
+                 start_step: int, enable_logs: bool, tokens_multiplier: int) -> dict:
+    """Step loop; ``tokens_multiplier`` scales ``StepMetrics.tokens`` to the
+    whole group for the logged tokens per second."""
     examples_per_epoch = rank0.data.examples_per_epoch
     summary: dict = {}
     for step in range(start_step, config.max_steps):
@@ -159,7 +165,8 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
                 step=step, epoch=_epoch(config, step, examples_per_epoch), split="train",
                 loss=m.loss, lr=m.lr, loss_scale=m.scale, grad_norm=m.grad_norm,
                 skipped=not m.applied,
-                tokens_per_sec=m.tokens * mult / m.seconds if m.seconds > 0 else None))
+                tokens_per_sec=(m.tokens * tokens_multiplier / m.seconds
+                                if m.seconds > 0 else None)))
             if enable_logs:
                 print(f"step {step} loss {m.loss:.6f} scale {m.scale:g} "
                       f"{'applied' if m.applied else 'skipped'}", flush=True)
@@ -183,8 +190,9 @@ def _train_tcp_worker(config: Config, mode: str, rank: int, enable_logs: bool) -
         return distributed_train_step(replica, transport, rank, config.num_workers, step)
 
     try:
+        # each rank counts only its own shard's tokens
         summary = _drive_steps(config, mode, run_step, replica, log, start_step,
-                               enable_logs)
+                               enable_logs, tokens_multiplier=config.num_workers)
     finally:
         transport.close()
     if rank == 0:

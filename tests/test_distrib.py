@@ -1,9 +1,15 @@
+import gc
+import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from miniseq import runner
 from miniseq.blocks import CopyTask, ModelSpec, Seq2SeqModel
+from miniseq.config import parse_config
 from miniseq.distrib import (
     InProcessTransport,
     Replica,
@@ -291,6 +297,133 @@ class TestWorkerGroups:
         for s in range(5):
             group.run_step(s)
             assert len(set(group.parameter_digests())) == 1
+
+
+class TestTurn:
+    def test_recv_lends_the_turn_while_it_waits(self):
+        tr = InProcessTransport(2, timeout=5.0)
+
+        def rank1():
+            with tr.turn():  # blocks forever if rank 0 keeps the turn while it waits
+                tr.send(1, 0, b"x")
+
+        with tr.turn():
+            t = threading.Thread(target=rank1)
+            t.start()
+            assert tr.recv(1, 0) == b"x"
+            assert tr._turn_holder == threading.get_ident()  # taken back before return
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+
+    def test_thread_without_turn_ignores_it(self):
+        tr = InProcessTransport(2, timeout=5.0)
+        out = []
+        with tr.turn():
+            t = threading.Thread(target=lambda: out.append(tr.recv(0, 1)))
+            t.start()
+            time.sleep(0.1)  # the receiver blocks on its empty queue meanwhile
+            tr.send(0, 1, b"y")
+            t.join(timeout=10.0)
+            assert tr._turn_holder == threading.get_ident()
+        assert not t.is_alive()
+        assert out == [b"y"]
+
+
+class TestWorkerPool:
+    """In-process allreduce workers: persistent threads taking turns."""
+
+    def test_thread_count_steady_across_steps(self):
+        start = threading.active_count()
+        group = WorkerGroup([small_replica(r, 4) for r in range(4)], mode="allreduce")
+        counts = []
+        for s in range(20):
+            group.run_step(s)
+            counts.append(threading.active_count())
+        group.close()
+        assert counts == [start + 4] * 20
+        assert threading.active_count() == start
+
+    def test_runner_stops_its_workers(self, tmp_path):
+        cfg = {"data_layer": "reverse_task",
+               "data_layer_params": {"vocab_size": 12, "seq_len": 4, "seed": 3},
+               "encoder_params": {"layers": 1, "hidden": 8, "emb_size": 6},
+               "decoder_params": {"hidden": 8, "emb_size": 6},
+               "batch_size_per_gpu": 4, "num_workers": 4, "use_allreduce": True,
+               "max_steps": 3, "checkpoint_dir": str(tmp_path / "ckpt")}
+        start = threading.active_count()
+        result = runner.run(parse_config(json.dumps(cfg)), "train")
+        assert result.status == 0
+        assert threading.active_count() == start
+
+    def test_pooled_allreduce_matches_tower_bits_and_tokens(self):
+        k = 4
+        tower = WorkerGroup([small_replica(r, k) for r in range(k)], mode="tower")
+        ring = WorkerGroup([small_replica(r, k) for r in range(k)], mode="allreduce")
+        for s in range(10):
+            shards = sum(float(r.data.batch(s, r.batch_size).target_mask.sum())
+                         for r in ring.replicas)
+            assert tower.run_step(s).tokens == ring.run_step(s).tokens == shards
+        ring.close()
+        assert ring.parameter_digests() == tower.parameter_digests()
+
+    def test_workers_compute_one_at_a_time(self):
+        k = 8  # more workers than cores
+        replicas = [small_replica(r, k, batch_size=2) for r in range(k)]
+        inside, seen = [0], []
+
+        def tap(step, grads):
+            inside[0] += 1
+            seen.append(inside[0])
+            time.sleep(0.001)  # lets any other computing worker run now
+            inside[0] -= 1
+            return grads
+
+        for r in replicas:
+            r.grad_tap = tap
+        group = WorkerGroup(replicas, mode="allreduce")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for s in range(5):
+                group.run_step(s)
+        finally:
+            sys.setswitchinterval(interval)
+            group.close()
+        assert seen == [1] * (5 * k)
+        assert len(set(group.parameter_digests())) == 1
+
+    def test_failure_names_rank_and_step_and_stops_the_group(self):
+        replicas = [small_replica(r, 4) for r in range(4)]
+
+        def tap(step, grads):
+            if step == 1:
+                raise ValueError("tap exploded")
+            return grads
+
+        replicas[2].grad_tap = tap
+        group = WorkerGroup(replicas, mode="allreduce")
+        group.run_step(0)
+        t0 = time.perf_counter()
+        with pytest.raises(TransportError, match=r"rank 2 failed at step 1: tap exploded"):
+            group.run_step(1)
+        assert time.perf_counter() - t0 < 2.0  # far below the 60 s recv timeout
+        t0 = time.perf_counter()
+        with pytest.raises(TransportError, match="aborted"):
+            group.run_step(2)
+        assert time.perf_counter() - t0 < 2.0
+        group.close()
+
+    @pytest.mark.parametrize("mode,k", [("allreduce", 1), ("allreduce", 4), ("tower", 4)])
+    def test_step_leaves_no_cyclic_garbage(self, mode, k):
+        group = WorkerGroup([small_replica(r, k) for r in range(k)], mode=mode)
+        gc.collect()
+        gc.disable()
+        try:
+            group.run_step(0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+            group.close()
 
 
 class TestTcpTransport:
