@@ -122,7 +122,6 @@ class DataLayer:
 
     vocab: Vocabulary
     examples_per_epoch: int | None = None
-    has_references = True
 
     def example(self, index: int) -> tuple[list[int], list[int]]:
         raise NotImplementedError
@@ -151,7 +150,6 @@ class _Shard(DataLayer):
         self.num_workers = num_workers
         self.vocab = base.vocab
         self.examples_per_epoch = base.examples_per_epoch
-        self.has_references = base.has_references
 
     def example(self, index: int):
         return self.base.example(self.worker_index + self.num_workers * index)
@@ -381,12 +379,6 @@ class Seq2SeqModel:
         logits = self.decoder.decode_teacher_forced(tape, params, rep, batch)
         loss = self.loss_fn(tape, logits, batch)
         return loss, tape
-
-    def logits(self, batch: Batch) -> tuple[Node, Tape]:
-        tape = Tape(self.mode)
-        params = self._leaves(tape)
-        rep = self.encoder.encode(tape, params, batch)
-        return self.decoder.decode_teacher_forced(tape, params, rep, batch), tape
 
     def greedy_decode(self, source_ids: np.ndarray, source_mask: np.ndarray,
                       max_len: int = 32) -> list[list[int]]:

@@ -1,9 +1,10 @@
 """Checkpoints: a binary named-tensor table plus a JSON manifest.
 
-weights.bin holds every parameter, FP32 master copy, and optimizer slot as
-length-prefixed named-tensor records; manifest.json carries the step, a hash
-of the config that produced the run, and the loss-scale state, which is all
-a resumed run needs to continue bit-identically.
+weights.bin holds every parameter, FP32 master copy (in FP32 runs too, where
+it equals the parameter), and optimizer slot as length-prefixed named-tensor
+records; manifest.json carries the step, a hash of the config that produced
+the run, and the loss-scale state, which is all a resumed run needs to
+continue bit-identically.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 
 from .distrib import Replica
-from .tensor import Tensor, read_named_tensor, write_named_tensor
+from .tensor import DType, Tensor, cast, read_named_tensor, write_named_tensor
 
 WEIGHTS_FILE = "weights.bin"
 MANIFEST_FILE = "manifest.json"
@@ -27,9 +28,8 @@ def save_checkpoint(directory: str, replica: Replica, step: int, config_hash: st
     with open(os.path.join(directory, WEIGHTS_FILE), "wb") as f:
         for name in sorted(replica.model.variables):
             write_named_tensor(f, f"var:{name}", replica.model.variables[name].value)
-        if replica.mode == "mixed":
-            for name in sorted(replica.state.master):
-                write_named_tensor(f, f"master:{name}", replica.state.master[name])
+        for name in sorted(replica.state.master):
+            write_named_tensor(f, f"master:{name}", replica.state.master[name])
         for var_name in sorted(replica.optimizer.slots):
             for slot_name, arr in sorted(replica.optimizer.slots[var_name].items()):
                 write_named_tensor(f, f"opt:{var_name}:{slot_name}",
@@ -37,7 +37,7 @@ def save_checkpoint(directory: str, replica: Replica, step: int, config_hash: st
     manifest = {
         "step": step,
         "config_hash": config_hash,
-        "mode": replica.mode,
+        "mode": replica.model.mode,
         "optimizer_t": replica.optimizer.t,
         "loss_scale_state": replica.state.scale_state.to_dict(),
     }
@@ -67,12 +67,14 @@ def load_checkpoint(directory: str, replica: Replica) -> dict:
         if tensors[key].shape != var.value.shape or tensors[key].dtype is not var.value.dtype:
             raise CheckpointError(f"parameter {name!r} does not match the current model")
         var.value = tensors[key]
-    if replica.mode == "mixed":
-        for name in replica.state.master:
-            replica.state.master[name] = tensors[f"master:{name}"]
-    else:
-        replica.state.master = {n: v.value for n, v in replica.model.variables.items()
-                                if v.trainable}
+    for name in replica.state.master:
+        master = tensors.get(f"master:{name}")
+        var = replica.model.variables[name]
+        if master is None or master.shape != var.value.shape or master.dtype is not DType.F32:
+            raise CheckpointError(f"checkpoint lacks FP32 master weights of {name!r}")
+        replica.state.master[name] = master
+        # apply_update's refresh, so an FP32 parameter is its master again
+        var.value = cast(master, var.value.dtype)
     replica.optimizer.slots = {}
     for key, t in tensors.items():
         if key.startswith("opt:"):

@@ -4,7 +4,9 @@ A WorkerGroup runs K replicas over disjoint data shards. In allreduce mode
 every worker owns a full replica and the group agrees on each step through
 two collectives: a flag-OR (did anyone overflow?) and a ring allreduce of
 the unscaled FP32 gradients. In tower mode a single process steps all
-replicas against one shared parameter store.
+replicas against one shared parameter store. Both modes average the same
+rank-order sum (rank_order_sum) of the flattened gradients and update
+through the same Replica.apply, so they end with bit-identical weights.
 
 In-process allreduce workers are persistent threads, started once per group,
 and they take turns: a worker computes only while it holds the transport's
@@ -44,17 +46,14 @@ from .autodiff import Tape, backward
 from .blocks import DataLayer, Seq2SeqModel
 from .mixed_precision import (
     LossScaleState,
-    MixedPrecisionState,
     RegularizerRegistry,
-    StaticScale,
-    apply_regularizer_grads,
+    apply_update,
     check_finite_all,
-    global_grad_norm,
     init_master,
     unscale_to_f32,
 )
 from .optim import LRPolicy, Optimizer
-from .tensor import DType, Tensor, cast
+from .tensor import DType, Tensor
 
 TAG_TENSOR_CHUNK = 0
 TAG_FLAG = 1
@@ -294,6 +293,14 @@ def _chunk_bounds(n: int, k: int) -> list[tuple[int, int]]:
     return [(min(c * size, n), min((c + 1) * size, n)) for c in range(k)]
 
 
+def rank_order_sum(contributions: list[np.ndarray]) -> np.ndarray:
+    """Elementwise FP32 sum of equal-length vectors, added in list (rank) order."""
+    acc = np.zeros(len(contributions[0]), dtype=np.float32)
+    for contrib in contributions:
+        acc += np.asarray(contrib, dtype=np.float32)
+    return acc
+
+
 def ring_allreduce(transport, rank: int, num_workers: int, vector: np.ndarray,
                    step: int = 0) -> np.ndarray:
     """Elementwise sum across workers; every worker returns identical bytes.
@@ -311,8 +318,7 @@ def ring_allreduce(transport, rank: int, num_workers: int, vector: np.ndarray,
     else:
         raise TypeError(f"unsupported reduce dtype {vector.dtype}")
     if k == 1:
-        acc = vector.astype(np.float32)
-        return acc.astype(vector.dtype)
+        return vector.copy()
     n = vector.size
     bounds = _chunk_bounds(n, k)
     my_chunks = [vector[a:b] for a, b in bounds]
@@ -349,9 +355,7 @@ def ring_allreduce(transport, rank: int, num_workers: int, vector: np.ndarray,
     # bundle now holds chunk (rank+1)%k contributions in path order
     # [c, c+1, ..., c+k-1 (mod k)]; rotate to rank order and sum ascending
     final_index = (rank + 1) % k
-    acc = np.zeros(bounds[final_index][1] - bounds[final_index][0], dtype=np.float32)
-    for j in range(k):
-        acc += np.asarray(bundle[(j - final_index) % k], dtype=np.float32)
+    acc = rank_order_sum([bundle[(j - final_index) % k] for j in range(k)])
     finalized = {final_index: acc.astype(vector.dtype)}
 
     # allgather: rotate finalized chunks around the ring
@@ -451,14 +455,7 @@ class Replica:
         self.optimizer = optimizer
         self.lr_policy = lr_policy
         self.batch_size = batch_size
-        self.mode = model.mode
-        registry = registry or RegularizerRegistry()
-        if self.mode == "mixed":
-            self.state = init_master(model.variables, scale_state or StaticScale(1.0), registry)
-        else:
-            # FP32 mode: the "master" aliases the working weights, no copy
-            master = {n: v.value for n, v in model.variables.items() if v.trainable}
-            self.state = MixedPrecisionState(master, scale_state or StaticScale(1.0), registry)
+        self.state = init_master(model.variables, scale_state, registry)
         self.bucket = ReduceBucket(model.variables)
         self.shapes = {n: v.value.shape for n, v in model.variables.items() if v.trainable}
         self.grad_tap = None  # test hook: mutates raw gradients before the finite check
@@ -482,20 +479,14 @@ class Replica:
         return unscale_to_f32(grads, self.scale)
 
     def apply(self, grads32: dict[str, Tensor], step: int) -> tuple[float, float]:
-        """Regularizers, inner optimizer on master, weight refresh, policy."""
-        grads32 = apply_regularizer_grads(self.state, grads32)
+        """The shared update (mixed_precision.apply_update) at this step's lr."""
         lr = self.lr_policy.lr_at(self.optimizer.t)
-        self.optimizer.step(self.state.master, grads32, lr)
-        if self.mode == "mixed":
-            for name in self.state.master:
-                self.model.variables[name].value = cast(self.state.master[name], DType.F16)
-        else:
-            for name in self.state.master:
-                self.model.variables[name].value = self.state.master[name]
-        observed = max((float(np.max(np.abs(g.f32()), initial=0.0)) for g in grads32.values()),
-                       default=0.0)
-        self.state.scale_state.on_good_step(observed)
-        return global_grad_norm(grads32), lr
+        return apply_update(self.state, self.optimizer, self.model.variables, grads32, lr), lr
+
+    def apply_mean(self, summed: np.ndarray, num_workers: int, step: int) -> tuple[float, float]:
+        """Apply a rank-order sum of flattened gradients, averaged over the workers."""
+        mean = (summed / np.float32(num_workers)).astype(np.float32)
+        return self.apply(self.bucket.unflatten(mean, self.shapes), step)
 
     def on_overflow(self):
         self.state.scale_state.on_overflow()
@@ -507,13 +498,11 @@ class Replica:
         return h.hexdigest()
 
     def copy_parameters_from(self, other: "Replica"):
+        """Take ``other``'s working and master weights and its loss-scale state."""
         for name, v in other.model.variables.items():
             self.model.variables[name].value = v.value
-        if self.mode == "mixed":
-            self.state.master = other.state.master
-        else:
-            self.state.master = {n: v.value for n, v in self.model.variables.items()
-                                 if v.trainable}
+        self.state.master = dict(other.state.master)
+        self.state.scale_state.load_dict(other.state.scale_state.to_dict())
 
 
 def distributed_train_step(replica: Replica, transport, rank: int, num_workers: int,
@@ -526,19 +515,17 @@ def distributed_train_step(replica: Replica, transport, rank: int, num_workers: 
         replica.on_overflow()
         return StepMetrics(step, loss, False, replica.scale, None,
                            None, tokens, time.perf_counter() - t0)
-    grads32 = replica.unscale(grads)
-    vec = replica.bucket.flatten(grads32)
-    reduced = ring_allreduce(transport, rank, num_workers, vec, step)
-    reduced = (reduced / np.float32(num_workers)).astype(np.float32)
-    avg = replica.bucket.unflatten(reduced, replica.shapes)
-    grad_norm, lr = replica.apply(avg, step)
+    vec = replica.bucket.flatten(replica.unscale(grads))
+    summed = ring_allreduce(transport, rank, num_workers, vec, step)
+    grad_norm, lr = replica.apply_mean(summed, num_workers, step)
     return StepMetrics(step, loss, True, replica.scale, grad_norm, lr, tokens,
                        time.perf_counter() - t0)
 
 
 def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
-    """Single-process aggregation: per-replica grads averaged in rank order,
-    one shared parameter store (rank 0) updated once, replicas refreshed."""
+    """Single-process aggregation: every replica's backward, then the
+    rank-order sum of their flattened grads averaged and applied once to
+    rank 0, whose weights and scale state the other replicas copy."""
     t0 = time.perf_counter()
     results = [r.forward_backward(step) for r in replicas]
     losses = [loss for _, loss, _, _, _ in results]
@@ -549,20 +536,11 @@ def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
             r.on_overflow()
         return StepMetrics(step, mean_loss, False, replicas[0].scale, None, None,
                            tokens, time.perf_counter() - t0)
-    summed: dict[str, np.ndarray] = {}
-    for r, (_, _, grads, _, _) in zip(replicas, results):
-        for name, g in r.unscale(grads).items():
-            if name in summed:
-                summed[name] = summed[name] + g.f32()
-            else:
-                summed[name] = g.f32().copy()
-    k = np.float32(len(replicas))
-    avg = {name: Tensor((arr / k).astype(np.float32), DType.F32)
-           for name, arr in summed.items()}
-    grad_norm, lr = replicas[0].apply(avg, step)
+    summed = rank_order_sum([r.bucket.flatten(r.unscale(grads))
+                             for r, (_, _, grads, _, _) in zip(replicas, results)])
+    grad_norm, lr = replicas[0].apply_mean(summed, len(replicas), step)
     for r in replicas[1:]:
         r.copy_parameters_from(replicas[0])
-        r.state.scale_state.load_dict(replicas[0].state.scale_state.to_dict())
     return StepMetrics(step, mean_loss, True, replicas[0].scale, grad_norm, lr,
                        tokens, time.perf_counter() - t0)
 

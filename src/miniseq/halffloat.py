@@ -143,12 +143,6 @@ def f16_classify(h: int) -> str:
     return INFINITE if man == 0 else NAN
 
 
-def narrow_to_np16(x) -> np.ndarray:
-    """Round float32 array to half via narrow(), returned as np.float16."""
-    bits = narrow(x)
-    return np.asarray(bits, dtype=np.uint16).view(np.float16)
-
-
 def narrow_host(x) -> np.ndarray:
     """Host-converter narrowing for hot array paths.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -115,7 +116,14 @@ class MetricsLog:
         return str(value)
 
     def write_csv(self, path) -> None:
+        """Write the rows under one header, after the rows of earlier steps
+        that ``path`` already holds, so a resumed run keeps its history."""
+        first = min((r.step for r in self.rows), default=math.inf)
         lines = [CSV_HEADER]
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8") as f:
+                lines += [line for line in f.read().splitlines()[1:]
+                          if int(line.split(",", 1)[0]) < first]
         for r in self.rows:
             lines.append(",".join([
                 str(r.step), str(r.epoch), r.split, self._fmt(r.loss), self._fmt(r.lr),

@@ -9,8 +9,14 @@ The step pipeline around an inner optimizer is:
       -> widen grads to FP32 exactly and multiply by 1/scale
       -> add registered regularizer terms against the FP32 master weights
       -> inner optimizer updates the master copy in FP32
-      -> working F16 weights refreshed as cast(master)
+      -> working weights refreshed as cast(master) to each variable's own
+         dtype
       -> scale policy sees a good step
+
+apply_update, shared by mp_step and distrib.Replica, runs it from the
+regularizers on. FP32 runs it with scale 1: cast to a tensor's own dtype
+returns that tensor, so the FP32 master is the working weights themselves
+and the refresh does nothing.
 
 Regularization deliberately never enters the F16 forward loss: a weight-decay
 term like lam * w with lam ~ 1e-5 underflows half precision, so it is applied
@@ -170,8 +176,11 @@ class LogMaxScale(LossScaleState):
 
 def make_scale_policy(dtype_mode: str, loss_scale: float | None, loss_scaling: str | None,
                       params: dict | None = None) -> LossScaleState:
-    """Map config keys to a policy: static number, or "Backoff"/"LogMax"."""
+    """Map config keys to a policy: static number, or "Backoff"/"LogMax";
+    FP32 ("float32") always trains at static scale 1."""
     params = dict(params or {})
+    if dtype_mode != "mixed":
+        return StaticScale(1.0)
     if loss_scaling is None:
         return StaticScale(scale=loss_scale if loss_scale is not None else 1.0)
     name = loss_scaling.lower()
@@ -194,20 +203,11 @@ class MixedPrecisionState:
 
 def init_master(variables: dict[str, Variable], scale_state: LossScaleState | None = None,
                 registry: RegularizerRegistry | None = None) -> MixedPrecisionState:
-    """Exact FP32 widenings of the current (F16) trainable values."""
-    master: dict[str, Tensor] = {}
-    for name, v in variables.items():
-        if not v.trainable:
-            continue
-        if name in master:
-            raise ValueError(f"duplicate variable {name!r}")
-        master[name] = cast(v.value, DType.F32)
+    """Exact FP32 widenings of the current trainable values (the values
+    themselves in FP32)."""
+    master = {name: cast(v.value, DType.F32) for name, v in variables.items() if v.trainable}
     return MixedPrecisionState(master, scale_state or StaticScale(1.0),
                                registry or RegularizerRegistry())
-
-
-def scaled_backward(tape: Tape, scale: float) -> dict[str, Tensor]:
-    return backward(tape, loss_seed=scale)
 
 
 def check_finite_all(grads: dict[str, Tensor]) -> bool:
@@ -251,24 +251,32 @@ def global_grad_norm(grads: dict[str, Tensor]) -> float:
     return float(np.sqrt(total))
 
 
+def apply_update(state: MixedPrecisionState, optimizer: Optimizer,
+                 variables: dict[str, Variable], grads32: dict[str, Tensor],
+                 lr: float) -> float:
+    """Regularizers, optimizer step on master, refresh, scale policy; returns
+    the norm of the finite unscaled FP32 ``grads32`` after regularization."""
+    grads32 = apply_regularizer_grads(state, grads32)
+    optimizer.step(state.master, grads32, lr)
+    for name, master in state.master.items():
+        var = variables[name]
+        var.value = cast(master, var.value.dtype)
+    observed = max((float(np.max(np.abs(g.f32()), initial=0.0)) for g in grads32.values()),
+                   default=0.0)
+    state.scale_state.on_good_step(observed)
+    return global_grad_norm(grads32)
+
+
 def mp_step(state: MixedPrecisionState, optimizer: Optimizer, lr: float,
             tape: Tape) -> StepOutcome:
     """One wrapped optimizer step; non-finite gradients turn it into a no-op."""
     scale = state.scale_state.scale
-    grads16 = scaled_backward(tape, scale)
-    if not check_finite_all(grads16):
+    grads = backward(tape, loss_seed=scale)
+    if not check_finite_all(grads):
         state.scale_state.on_overflow()
         return StepOutcome(applied=False, scale=state.scale_state.scale)
-    grads32 = unscale_to_f32(grads16, scale)
-    grads32 = apply_regularizer_grads(state, grads32)
-    optimizer.step(state.master, grads32, lr)
-    for name in state.master:
-        tape.variables[name].value = cast(state.master[name], DType.F16)
-    observed = max((float(np.max(np.abs(g.f32()), initial=0.0)) for g in grads32.values()),
-                   default=0.0)
-    state.scale_state.on_good_step(observed)
-    return StepOutcome(applied=True, scale=state.scale_state.scale,
-                       grad_norm=global_grad_norm(grads32))
+    grad_norm = apply_update(state, optimizer, tape.variables, unscale_to_f32(grads, scale), lr)
+    return StepOutcome(applied=True, scale=state.scale_state.scale, grad_norm=grad_norm)
 
 
 def memory_report(variables: dict[str, Variable], tape: Tape, optimizer: Optimizer,

@@ -9,6 +9,7 @@ that take turns (see distrib.WorkerGroup).
 
 from __future__ import annotations
 
+import fnmatch
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from .distrib import (
     distributed_train_step,
 )
 from .metrics import MetricsLog, MetricsRow, bleu4, wer
-from .mixed_precision import RegularizerRegistry, StaticScale, make_scale_policy
+from .mixed_precision import RegularizerRegistry, make_scale_policy
 from .optim import LRPolicy, Optimizer
 
 METRICS_FILE = {"train": "metrics.csv", "train_eval": "metrics.csv", "eval": "metrics_eval.csv"}
@@ -39,12 +40,6 @@ class RunResult:
     status: int
     artifacts: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
-
-
-def _fnmatch(name: str, pattern: str) -> bool:
-    import fnmatch
-
-    return fnmatch.fnmatchcase(name, pattern)
 
 
 def build_replica(config: Config, rank: int, num_workers: int) -> Replica:
@@ -60,26 +55,15 @@ def build_replica(config: Config, rank: int, num_workers: int) -> Replica:
     shard = data.shard(rank, num_workers)
     optimizer = Optimizer(config.optimizer_kind, **config.optimizer_params)
     lr_policy = LRPolicy(config.lr_policy, **config.lr_policy_params)
-    if config.dtype == "mixed":
-        scale_state = make_scale_policy(config.dtype, config.loss_scale,
-                                        config.loss_scaling, config.loss_scaling_params)
-    else:
-        scale_state = StaticScale(1.0)
+    scale_state = make_scale_policy(config.dtype, config.loss_scale,
+                                    config.loss_scaling, config.loss_scaling_params)
     registry = RegularizerRegistry()
     for reg in config.regularizers:
         for name, var in sorted(model.variables.items()):
-            if var.trainable and _fnmatch(name, reg["pattern"]):
+            if var.trainable and fnmatch.fnmatchcase(name, reg["pattern"]):
                 registry.register(name, reg.get("kind", "l2_weight_decay"), reg["lambda"])
     return Replica(model, shard, optimizer, lr_policy, scale_state=scale_state,
                    registry=registry, batch_size=config.batch_size_per_gpu)
-
-
-def _eval_split_layer(config: Config):
-    params = dict(config.data_layer_params)
-    layer_cls = DATA_LAYERS[config.data_layer]
-    if "split" in layer_cls.__init__.__code__.co_varnames:
-        params["split"] = "eval"
-    return layer_cls(**params)
 
 
 def _epoch(config: Config, step: int, examples_per_epoch) -> int:
@@ -91,7 +75,7 @@ def _epoch(config: Config, step: int, examples_per_epoch) -> int:
 
 def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int) -> dict:
     """Teacher-forced loss/accuracy plus greedy BLEU/WER on the eval split."""
-    layer = _eval_split_layer(config)
+    layer = DATA_LAYERS[config.data_layer](**{**config.data_layer_params, "split": "eval"})
     losses, accs = [], []
     hyps, refs = [], []
     for i in range(config.eval_batches):
@@ -131,11 +115,7 @@ def _train_in_process(config: Config, mode: str, enable_logs: bool) -> RunResult
     group_mode = "allreduce" if (config.use_allreduce or config.num_workers == 1) else "tower"
     replicas = [build_replica(config, r, config.num_workers)
                 for r in range(config.num_workers)]
-    start_step = 0
-    if checkpoint_exists(config.checkpoint_dir):
-        for r in replicas:
-            manifest = load_checkpoint(config.checkpoint_dir, r)
-        start_step = int(manifest["step"])
+    start_step = _resume(config, replicas)
     group = WorkerGroup(replicas, mode=group_mode)
     log = MetricsLog()
     try:
@@ -144,8 +124,22 @@ def _train_in_process(config: Config, mode: str, enable_logs: bool) -> RunResult
                                start_step, enable_logs, tokens_multiplier=1)
     finally:
         group.close()
-    save_checkpoint(config.checkpoint_dir, replicas[0], config.max_steps,
-                    config.content_hash())
+    return _finish(config, mode, replicas[0], log, summary)
+
+
+def _resume(config: Config, replicas: list[Replica]) -> int:
+    """The step to start at, after loading any checkpoint into every replica."""
+    if not checkpoint_exists(config.checkpoint_dir):
+        return 0
+    for r in replicas:
+        manifest = load_checkpoint(config.checkpoint_dir, r)
+    return int(manifest["step"])
+
+
+def _finish(config: Config, mode: str, rank0: Replica, log: MetricsLog,
+            summary: dict) -> RunResult:
+    """Save the final checkpoint and write the metrics after any earlier rows."""
+    save_checkpoint(config.checkpoint_dir, rank0, config.max_steps, config.content_hash())
     metrics_path = os.path.join(config.checkpoint_dir, METRICS_FILE[mode])
     log.write_csv(metrics_path)
     return RunResult(0, artifacts={"checkpoint_dir": config.checkpoint_dir,
@@ -179,10 +173,7 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
 
 def _train_tcp_worker(config: Config, mode: str, rank: int, enable_logs: bool) -> RunResult:
     replica = build_replica(config, rank, config.num_workers)
-    start_step = 0
-    if checkpoint_exists(config.checkpoint_dir):
-        manifest = load_checkpoint(config.checkpoint_dir, replica)
-        start_step = int(manifest["step"])
+    start_step = _resume(config, [replica])
     transport = TcpTransport(rank, config.worker_addresses)
     log = MetricsLog() if rank == 0 else None
 
@@ -196,12 +187,7 @@ def _train_tcp_worker(config: Config, mode: str, rank: int, enable_logs: bool) -
     finally:
         transport.close()
     if rank == 0:
-        save_checkpoint(config.checkpoint_dir, replica, config.max_steps,
-                        config.content_hash())
-        metrics_path = os.path.join(config.checkpoint_dir, METRICS_FILE[mode])
-        log.write_csv(metrics_path)
-        return RunResult(0, artifacts={"checkpoint_dir": config.checkpoint_dir,
-                                       "metrics_csv": metrics_path}, summary=summary)
+        return _finish(config, mode, replica, log, summary)
     return RunResult(0)
 
 

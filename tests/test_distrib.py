@@ -329,6 +329,28 @@ class TestTurn:
         assert out == [b"y"]
 
 
+class TestSingleCopyFp32:
+    """FP32 is mixed precision with an identity cast: master is the weights."""
+
+    @staticmethod
+    def assert_master_is_weights(replica):
+        assert replica.state.master
+        for name, master in replica.state.master.items():
+            assert master is replica.model.variables[name].value
+
+    def test_after_construction_and_a_k1_step(self):
+        replica = small_replica(0, 1)
+        self.assert_master_is_weights(replica)
+        WorkerGroup([replica], mode="allreduce").run_step(0)
+        self.assert_master_is_weights(replica)
+
+    def test_every_replica_after_a_tower_step(self):
+        group = WorkerGroup([small_replica(r, 4) for r in range(4)], mode="tower")
+        assert group.run_step(0).applied
+        for replica in group.replicas:
+            self.assert_master_is_weights(replica)
+
+
 class TestWorkerPool:
     """In-process allreduce workers: persistent threads taking turns."""
 
@@ -356,15 +378,38 @@ class TestWorkerPool:
         assert threading.active_count() == start
 
     def test_pooled_allreduce_matches_tower_bits_and_tokens(self):
-        k = 4
-        tower = WorkerGroup([small_replica(r, k) for r in range(k)], mode="tower")
-        ring = WorkerGroup([small_replica(r, k) for r in range(k)], mode="allreduce")
-        for s in range(10):
-            shards = sum(float(r.data.batch(s, r.batch_size).target_mask.sum())
-                         for r in ring.replicas)
-            assert tower.run_step(s).tokens == ring.run_step(s).tokens == shards
-        ring.close()
-        assert ring.parameter_digests() == tower.parameter_digests()
+        k, inf_step = 4, 3
+
+        def inf_on_one_rank(step, grads):
+            if step != inf_step:
+                return grads
+            name = min(grads)
+            g = grads[name]
+            return {**grads, name: Tensor(np.full(g.shape, np.inf, g.dtype.np_dtype), g.dtype)}
+
+        for mode, policy in (("float32", StaticScale),
+                             ("mixed", lambda: BackoffScale(growth_interval=4))):
+            groups = {}
+            for group_mode in ("tower", "allreduce"):
+                replicas = [small_replica(r, k, mode=mode, scale_state=policy())
+                            for r in range(k)]
+                replicas[2].grad_tap = inf_on_one_rank
+                groups[group_mode] = WorkerGroup(replicas, mode=group_mode)
+            tower, ring = groups["tower"], groups["allreduce"]
+            outcomes = {"tower": [], "allreduce": []}
+            for s in range(10):
+                shards = sum(float(r.data.batch(s, r.batch_size).target_mask.sum())
+                             for r in ring.replicas)
+                for group_mode, group in groups.items():
+                    m = group.run_step(s)
+                    assert m.tokens == shards
+                    outcomes[group_mode].append((m.applied, m.scale))
+            ring.close()
+            assert ring.parameter_digests() == tower.parameter_digests()
+            assert outcomes["allreduce"] == outcomes["tower"]
+            assert [applied for applied, _ in outcomes["tower"]].count(False) >= 1
+            assert not outcomes["tower"][inf_step][0]
+            assert {r.scale for r in tower.replicas + ring.replicas} == {outcomes["tower"][-1][1]}
 
     def test_workers_compute_one_at_a_time(self):
         k = 8  # more workers than cores

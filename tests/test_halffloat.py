@@ -172,7 +172,7 @@ def test_array_and_scalar_paths_agree():
 def test_np16_view_round_trip():
     rng = np.random.default_rng(3)
     xs = rng.normal(size=100).astype(np.float32)
-    h = hf.narrow_to_np16(xs)
+    h = hf.narrow(xs).view(np.float16)
     assert h.dtype == np.float16
     assert np.array_equal(hf.np16_to_bits(h), hf.narrow(xs))
 

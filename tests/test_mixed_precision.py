@@ -19,7 +19,6 @@ from miniseq.mixed_precision import (
     make_scale_policy,
     memory_report,
     mp_step,
-    scaled_backward,
     unscale_to_f32,
 )
 from miniseq.optim import ContractViolation, Optimizer
@@ -65,24 +64,23 @@ class TestInitMaster:
 class TestScaledBackward:
     def test_scale_one_plain(self):
         tape = tiny_grad_tape(np.full(4, 0.25), mode="float32")
-        g1 = scaled_backward(tape, 1.0)
-        g_ref = backward(tape, 1.0)
-        assert np.array_equal(g1["w"].f32(), g_ref["w"].f32())
+        g1 = backward(tape, loss_seed=1.0)
+        assert np.all(g1["w"].f32() == np.float32(0.25 / 4))
 
     def test_underflow_rescued_by_scale(self):
         # true gradient 2^-26 = (2^-14)/4096: zero in F16 at scale 1,
         # 2^-16 (nonzero) at scale 2^10
         values = np.full(4096, 2.0 ** -14, dtype=np.float32)
         tape = tiny_grad_tape(values)
-        g1 = scaled_backward(tape, 1.0)
+        g1 = backward(tape, loss_seed=1.0)
         assert np.all(g1["w"].f32() == 0.0)
         tape2 = tiny_grad_tape(values)
-        gs = scaled_backward(tape2, 2.0 ** 10)
+        gs = backward(tape2, loss_seed=2.0 ** 10)
         assert np.all(gs["w"].f32() == 2.0 ** -16)
 
     def test_overflow_at_large_scale(self):
         tape = tiny_grad_tape(np.full(1, 2.0))
-        g = scaled_backward(tape, 2.0 ** 16)
+        g = backward(tape, loss_seed=2.0 ** 16)
         assert np.isinf(g["w"].f32()).any()
         assert not check_finite_all(g)
 

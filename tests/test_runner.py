@@ -236,6 +236,37 @@ class TestCheckpoint:
         assert fresh.optimizer.t == replica.optimizer.t
         assert fresh.state.scale_state.to_dict() == replica.state.scale_state.to_dict()
 
+    def test_fp32_round_trip_restores_master_as_the_weights(self, tmp_path):
+        cfg = base_config(tmp_path)
+        replica = build_replica(cfg, 0, 1)
+        replica.apply(replica.unscale(replica.forward_backward(0)[2]), 0)
+        save_checkpoint(cfg.checkpoint_dir, replica, 1, cfg.content_hash())
+        fresh = build_replica(cfg, 0, 1)
+        load_checkpoint(cfg.checkpoint_dir, fresh)
+        assert fresh.parameter_digest() == replica.parameter_digest()
+        assert set(fresh.state.master) == set(replica.state.master)
+        for name, master in fresh.state.master.items():
+            assert master is fresh.model.variables[name].value
+            assert np.array_equal(master.f32(), replica.state.master[name].f32())
+
+    @pytest.mark.parametrize("damage", ["dropped", "reshaped"])
+    def test_missing_or_mismatched_master_records_raise(self, tmp_path, damage):
+        from miniseq.tensor import Tensor, read_named_tensor, write_named_tensor
+        cfg = base_config(tmp_path)
+        replica = build_replica(cfg, 0, 1)
+        save_checkpoint(cfg.checkpoint_dir, replica, 0, cfg.content_hash())
+        path = os.path.join(cfg.checkpoint_dir, "weights.bin")
+        with open(path, "rb") as f:
+            records = list(iter(lambda: read_named_tensor(f), None))
+        with open(path, "wb") as f:
+            for name, t in records:
+                if name.startswith("master:") and damage == "reshaped":
+                    t = Tensor(t.data.reshape(-1)[:1].copy(), t.dtype)
+                if not name.startswith("master:") or damage == "reshaped":
+                    write_named_tensor(f, name, t)
+        with pytest.raises(CheckpointError, match="master"):
+            load_checkpoint(cfg.checkpoint_dir, build_replica(cfg, 0, 1))
+
     def test_missing_checkpoint_raises(self, tmp_path):
         cfg = base_config(tmp_path)
         with pytest.raises(CheckpointError):
@@ -252,6 +283,15 @@ class TestCheckpoint:
         a = (tmp_path / "a" / "weights.bin").read_bytes()
         b = (tmp_path / "b" / "weights.bin").read_bytes()
         assert a == b
+
+    def test_resume_keeps_metrics_history(self, tmp_path):
+        for steps in (5, 10):
+            result = run(base_config(tmp_path, max_steps=steps, eval_every=5), "train_eval")
+        lines = open(result.artifacts["metrics_csv"], encoding="utf-8").read().splitlines()
+        assert lines[0] == CSV_HEADER and CSV_HEADER not in lines[1:]
+        fields = [line.split(",") for line in lines[1:]]
+        assert [int(f[0]) for f in fields if f[2] == "train"] == list(range(10))
+        assert [int(f[0]) for f in fields if f[-2] == "token_accuracy"] == [4, 9]
 
 
 class TestRunModes:

@@ -116,6 +116,10 @@ class TestElementwise:
 
 
 class TestCast:
+    def test_same_dtype_returns_the_tensor_itself(self):
+        for t in (f32([1.5, -2.0]), f16([1.5, -2.0])):
+            assert cast(t, t.dtype) is t
+
     def test_overflow_to_inf(self):
         t = cast(f32([65520.0]), DType.F16)
         assert math.isinf(float(t.f32()[0]))
