@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DType, ShapeError, Tensor, matmul_mixed
+from .tensor import DType, ShapeError, Tensor, matmul_mixed, store
 
 MODES = ("float32", "mixed")
 
-
-def _store(f32_arr, dtype: DType) -> Tensor:
-    """Round an FP32 result into ``dtype``.
-
-    A module function rather than a Tape method, so backward closures never
-    reference their tape: a closure holding ``self`` would put every tape in
-    a reference cycle that only the garbage collector can free.
-    """
-    return Tensor.from_array(np.asarray(f32_arr, dtype=np.float32), dtype)
+# Ops round their FP32 results through tensor.store, a module function rather
+# than a Tape method, so backward closures never reference their tape: a
+# closure holding ``self`` would put every tape in a reference cycle that only
+# the garbage collector can free.
 
 
 class Variable:
@@ -105,8 +100,8 @@ class Tape:
 
         def backward(g: Tensor):
             g32 = g.f32()
-            da = _store(g32 @ b32.T, a.value.dtype)
-            db = _store(a32.T @ g32, b.value.dtype)
+            da = store(g32 @ b32.T, a.value.dtype)
+            db = store(a32.T @ g32, b.value.dtype)
             return [da, db]
 
         return self._emit("matmul", [a, b], out, backward)
@@ -114,7 +109,7 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"add: shapes {a.value.shape} vs {b.value.shape}")
-        out = _store(a.value.f32() + b.value.f32(), self.model_dtype)
+        out = store(a.value.f32() + b.value.f32(), self.model_dtype)
 
         def backward(g: Tensor):
             return [g, g]
@@ -124,12 +119,12 @@ class Tape:
     def bias_add(self, x: Node, b: Node) -> Node:
         if x.value.shape[-1] != b.value.shape[-1] or b.value.data.ndim != 1:
             raise ShapeError(f"bias_add: shapes {x.value.shape} vs {b.value.shape}")
-        out = _store(x.value.f32() + b.value.f32(), self.model_dtype)
+        out = store(x.value.f32() + b.value.f32(), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            db = _store(g32.reshape(-1, g32.shape[-1]).sum(axis=0, dtype=np.float32),
-                             b.value.dtype)
+            db = store(g32.reshape(-1, g32.shape[-1]).sum(axis=0, dtype=np.float32),
+                       b.value.dtype)
             return [g, db]
 
         return self._emit("bias_add", [x, b], out, backward)
@@ -138,49 +133,49 @@ class Tape:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"mul: shapes {a.value.shape} vs {b.value.shape}")
         a32, b32 = a.value.f32(), b.value.f32()
-        out = _store(a32 * b32, self.model_dtype)
+        out = store(a32 * b32, self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            return [_store(g32 * b32, a.value.dtype),
-                    _store(g32 * a32, b.value.dtype)]
+            return [store(g32 * b32, a.value.dtype),
+                    store(g32 * a32, b.value.dtype)]
 
         return self._emit("mul", [a, b], out, backward)
 
     def scale(self, x: Node, c: float) -> Node:
         c32 = np.float32(c)
-        out = _store(x.value.f32() * c32, self.model_dtype)
+        out = store(x.value.f32() * c32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [_store(g.f32() * c32, x.value.dtype)]
+            return [store(g.f32() * c32, x.value.dtype)]
 
         return self._emit("scale", [x], out, backward)
 
     def tanh(self, x: Node) -> Node:
         y32 = np.tanh(x.value.f32())
-        out = _store(y32, self.model_dtype)
+        out = store(y32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [_store(g.f32() * (1.0 - y32 * y32), x.value.dtype)]
+            return [store(g.f32() * (1.0 - y32 * y32), x.value.dtype)]
 
         return self._emit("tanh", [x], out, backward)
 
     def sigmoid(self, x: Node) -> Node:
         y32 = 1.0 / (1.0 + np.exp(-x.value.f32()))
-        out = _store(y32, self.model_dtype)
+        out = store(y32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [_store(g.f32() * y32 * (1.0 - y32), x.value.dtype)]
+            return [store(g.f32() * y32 * (1.0 - y32), x.value.dtype)]
 
         return self._emit("sigmoid", [x], out, backward)
 
     def relu(self, x: Node) -> Node:
         x32 = x.value.f32()
-        out = _store(np.maximum(x32, 0.0), self.model_dtype)
+        out = store(np.maximum(x32, 0.0), self.model_dtype)
         pos = x32 > 0
 
         def backward(g: Tensor):
-            return [_store(g.f32() * pos, x.value.dtype)]
+            return [store(g.f32() * pos, x.value.dtype)]
 
         return self._emit("relu", [x], out, backward)
 
@@ -193,7 +188,7 @@ class Tape:
         def backward(g: Tensor):
             acc = np.zeros(table.value.shape, dtype=np.float32)
             np.add.at(acc, ids.reshape(-1), g.f32().reshape(-1, table.value.shape[1]))
-            return [_store(acc, table.value.dtype)]
+            return [store(acc, table.value.dtype)]
 
         return self._emit("embedding_gather", [table], out, backward)
 
@@ -225,12 +220,12 @@ class Tape:
         q32, s32 = query.value.f32(), states.value.f32()
         if q32.shape[-1] != s32.shape[-1]:
             raise ShapeError(f"attn_scores: hidden {q32.shape} vs {s32.shape}")
-        out = _store(np.einsum("bh,bth->bt", q32, s32, dtype=np.float32), self.model_dtype)
+        out = store(np.einsum("bh,bth->bt", q32, s32, dtype=np.float32), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            dq = _store(np.einsum("bt,bth->bh", g32, s32), query.value.dtype)
-            ds = _store(np.einsum("bt,bh->bth", g32, q32), states.value.dtype)
+            dq = store(np.einsum("bt,bth->bh", g32, s32), query.value.dtype)
+            ds = store(np.einsum("bt,bh->bth", g32, q32), states.value.dtype)
             return [dq, ds]
 
         return self._emit("attn_scores", [query, states], out, backward)
@@ -246,24 +241,24 @@ class Tape:
         shifted = x - np.max(np.where(m > 0, x, -np.inf), axis=-1, keepdims=True)
         e = np.exp(shifted, dtype=np.float32) * m
         w32 = (e / np.sum(e, axis=-1, keepdims=True, dtype=np.float32)).astype(np.float32)
-        out = _store(w32, self.model_dtype)
+        out = store(w32, self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
             dot = np.sum(g32 * w32, axis=-1, keepdims=True, dtype=np.float32)
-            return [_store((g32 - dot) * w32, scores.value.dtype)]
+            return [store((g32 - dot) * w32, scores.value.dtype)]
 
         return self._emit("attn_weights", [scores], out, backward)
 
     def attn_context(self, weights: Node, states: Node) -> Node:
         """Convex combination of states: [b,t] x [b,t,h] -> [b,h]."""
         w32, s32 = weights.value.f32(), states.value.f32()
-        out = _store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
+        out = store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
-            dw = _store(np.einsum("bh,bth->bt", g32, s32), weights.value.dtype)
-            ds = _store(np.einsum("bt,bh->bth", w32, g32), states.value.dtype)
+            dw = store(np.einsum("bh,bth->bt", g32, s32), weights.value.dtype)
+            ds = store(np.einsum("bt,bh->bth", w32, g32), states.value.dtype)
             return [dw, ds]
 
         return self._emit("attn_context", [weights, states], out, backward)
@@ -297,7 +292,7 @@ class Tape:
             d = probs.copy()
             d[b_idx, t_idx, targets] -= 1.0
             d *= (m * (seed / np.float32(n_valid)))[..., None]
-            return [_store(d, logits.value.dtype)]
+            return [store(d, logits.value.dtype)]
 
         return self._emit("softmax_cross_entropy", [logits], out, backward, is_loss=True)
 
@@ -308,8 +303,8 @@ class Tape:
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [_store(np.full(x.value.shape, seed / np.float32(n), dtype=np.float32),
-                                x.value.dtype)]
+            return [store(np.full(x.value.shape, seed / np.float32(n), dtype=np.float32),
+                          x.value.dtype)]
 
         return self._emit("reduce_mean", [x], out, backward, is_loss=True)
 
@@ -319,7 +314,7 @@ class Tape:
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [_store(np.full(x.value.shape, seed, dtype=np.float32), x.value.dtype)]
+            return [store(np.full(x.value.shape, seed, dtype=np.float32), x.value.dtype)]
 
         return self._emit("reduce_sum", [x], out, backward, is_loss=True)
 
@@ -345,7 +340,7 @@ def backward(tape: Tape, loss_seed: float = 1.0, loss: Node | None = None) -> di
             grads[id(node)] = g
         else:
             acc = prev.f32() + g.f32()
-            grads[id(node)] = Tensor.from_array(acc, prev.dtype)
+            grads[id(node)] = store(acc, prev.dtype)
 
     for op in reversed(tape.ops):
         out_grad = grads.get(id(op.output))

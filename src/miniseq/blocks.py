@@ -415,9 +415,6 @@ class Seq2SeqModel:
             prev = ids
         return outputs
 
-    def parameter_count(self) -> int:
-        return sum(v.value.size for v in self.variables.values())
-
 
 def token_accuracy(logits: Tensor, batch: Batch) -> float:
     """Fraction of non-pad target positions predicted exactly."""

@@ -15,17 +15,19 @@ Python at a time instead of K threads contending for the GIL. That buys no
 parallelism; one OS process per rank over TcpTransport is the path to
 using more than one core.
 
-The ring keeps the classic two-phase shape (K-1 reduce-scatter exchanges,
-then K-1 allgather exchanges, chunk size ceil(n/K)), but contributions ride
-raw to each chunk's finalizer, which sums them in ascending rank order in
-FP32. That costs some bandwidth at desk scale and buys bit-reproducible
-results: the reduced vector equals a gather-then-sum in rank order exactly,
-on every worker.
+The ring is an allgather: in K-1 exchanges each rank passes the frame it
+received last to the next rank, so every rank ends with all K contributions
+and adds them with rank_order_sum, the FP32 sum in ascending rank order that
+tower_train_step computes over the same K vectors. Each rank sends (K-1)n
+elements per allreduce, not the 2(K-1)n/K of a bandwidth-optimal ring, and
+buys bit-reproducible results: every worker's reduced vector equals tower's.
 
 Wire format (both transports): [length: u32 LE][tag: u8][payload], where
-tag 0 = tensor chunk, 1 = flag, 2 = control. Tensor-chunk payload:
-[step: u32][chunk index: u32][dtype byte (0=F16, 1=F32)][count: u32]
-[raw little-endian elements].
+tag 0 = tensor chunk, 1 = flag, 2 = control. Payloads of the ring
+collectives start [step: u32][origin rank: u32]. Tensor chunk:
+[step][origin][dtype byte (DType.code)][count: u32][raw little-endian
+elements]; flag: [step][origin][flag: u8]. Each rank sends K-1 frames per
+collective, to the next rank only.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ TAG_TENSOR_CHUNK = 0
 TAG_FLAG = 1
 TAG_CONTROL = 2
 
-_DTYPE_BYTE = {DType.F16: 0, DType.F32: 1}
-_BYTE_NP = {0: "<f2", 1: "<f4"}
+_ORIGIN = struct.Struct("<II")  # [step][origin rank], the head of every ring payload
+_FLAG = struct.Struct("<IIB")
 
 
 class TransportError(RuntimeError):
@@ -78,28 +80,37 @@ def frame(tag: int, payload: bytes) -> bytes:
     return struct.pack("<IB", len(payload), tag) + payload
 
 
-def chunk_payload(step: int, chunk_index: int, dtype: DType, arr: np.ndarray) -> bytes:
-    raw = np.ascontiguousarray(arr).astype(_BYTE_NP[_DTYPE_BYTE[dtype]], copy=False).tobytes()
-    return struct.pack("<IIBI", step, chunk_index, _DTYPE_BYTE[dtype], arr.size) + raw
+def unframe(message) -> tuple[int, memoryview]:
+    """Tag and payload of a frame; the payload is a view, not a copy."""
+    view = memoryview(message)
+    length, tag = struct.unpack_from("<IB", view)
+    if len(view) - 5 != length:
+        raise TransportError("corrupt frame")
+    return tag, view[5:]
 
 
-def parse_chunk(payload: bytes) -> tuple[int, int, DType, np.ndarray]:
-    step, chunk_index, dtype_byte, count = struct.unpack("<IIBI", payload[:13])
-    wire = _BYTE_NP[dtype_byte]
-    arr = np.frombuffer(payload[13:], dtype=wire)
+def chunk_payload(step: int, origin: int, dtype: DType, arr: np.ndarray) -> bytes:
+    raw = np.ascontiguousarray(arr).astype(dtype.wire, copy=False).tobytes()
+    return struct.pack("<IIBI", step, origin, dtype.code, arr.size) + raw
+
+
+def parse_chunk(payload) -> tuple[int, int, DType, np.ndarray]:
+    step, origin, code, count = struct.unpack_from("<IIBI", payload)
+    dtype = DType.from_code(code)
+    arr = np.frombuffer(payload, dtype=dtype.wire, offset=13)
     if arr.size != count:
         raise TransportError(f"chunk payload carries {arr.size} elements, header says {count}")
-    dtype = DType.F16 if dtype_byte == 0 else DType.F32
-    return step, chunk_index, dtype, arr
+    return step, origin, dtype, arr
 
 
 class InProcessTransport:
-    """Per-(sender, receiver) FIFO queues shared by worker threads.
+    """One FIFO queue per ring edge (rank r to rank r+1), shared by worker threads.
 
-    The transport also carries a turn: a lock that at most one worker holds
-    while it computes. A turn holder that blocks in ``recv`` on an empty
-    queue gives the turn up for the wait and takes it back before it
-    returns. Threads that never take the turn are not affected by it.
+    Like TcpTransport, it carries ring-neighbor traffic only. The transport
+    also carries a turn: a lock that at most one worker holds while it
+    computes. A turn holder that blocks in ``recv`` on an empty queue gives
+    the turn up for the wait and takes it back before it returns. Threads
+    that never take the turn are not affected by it.
     """
 
     kind = "in_process"
@@ -107,10 +118,7 @@ class InProcessTransport:
     def __init__(self, num_workers: int, timeout: float = 60.0):
         self.num_workers = num_workers
         self.timeout = timeout
-        self._queues = {
-            (s, d): queue.Queue()
-            for s in range(num_workers) for d in range(num_workers) if s != d
-        }
+        self._queues = {(r, (r + 1) % num_workers): queue.Queue() for r in range(num_workers)}
         self._abort = threading.Event()
         self._turn = threading.Lock()
         self._turn_holder = None
@@ -139,14 +147,22 @@ class InProcessTransport:
         self._turn_holder = None
         self._turn.release()
 
+    def _edge(self, src: int, dst: int) -> queue.Queue:
+        q = self._queues.get((src, dst))
+        if q is None:
+            raise TransportError(
+                f"in-process transport only carries ring-neighbor traffic, not {src}->{dst}")
+        return q
+
     def send(self, src: int, dst: int, message: bytes) -> None:
+        q = self._edge(src, dst)
         if self._abort.is_set():
             raise GroupAborted()
-        self._queues[(src, dst)].put(message)
+        q.put(message)
 
     def recv(self, src: int, dst: int) -> bytes:
         deadline = time.monotonic() + self.timeout
-        q = self._queues[(src, dst)]
+        q = self._edge(src, dst)
         if self._abort.is_set():
             raise GroupAborted()
         try:
@@ -228,11 +244,11 @@ class TcpTransport:
         digest = hashlib.sha256(json.dumps(self.addresses).encode()).digest()
         if self.rank == 0:
             self.send(self.rank, (self.rank + 1) % self.num_workers, frame(TAG_CONTROL, digest))
-            tag, payload = read_message(self, (self.rank - 1) % self.num_workers, self.rank)
+            tag, payload = unframe(self.recv((self.rank - 1) % self.num_workers, self.rank))
             if tag != TAG_CONTROL or payload != digest:
                 raise TransportError("worker roster mismatch")
         else:
-            tag, payload = read_message(self, (self.rank - 1) % self.num_workers, self.rank)
+            tag, payload = unframe(self.recv((self.rank - 1) % self.num_workers, self.rank))
             if tag != TAG_CONTROL or payload != digest:
                 raise TransportError(f"rank {self.rank}: roster mismatch with rank 0")
             self.send(self.rank, (self.rank + 1) % self.num_workers, frame(TAG_CONTROL, payload))
@@ -276,21 +292,7 @@ class TcpTransport:
                     pass
 
 
-def read_message(transport, src: int, dst: int) -> tuple[int, bytes]:
-    msg = transport.recv(src, dst)
-    length, tag = struct.unpack("<IB", msg[:5])
-    payload = msg[5:]
-    if len(payload) != length:
-        raise TransportError("corrupt frame")
-    return tag, payload
-
-
 # -- collectives -----------------------------------------------------------------
-
-
-def _chunk_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    size = -(-n // k) if n else 0
-    return [(min(c * size, n), min((c + 1) * size, n)) for c in range(k)]
 
 
 def rank_order_sum(contributions: list[np.ndarray]) -> np.ndarray:
@@ -301,15 +303,46 @@ def rank_order_sum(contributions: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
+def ring_allgather(transport, rank: int, num_workers: int, tag: int, payload: bytes,
+                   step: int) -> list:
+    """Every rank's payload, in rank order, on every rank.
+
+    ``payload`` must start [step][origin rank] (see the module docstring). In
+    K-1 exchanges each rank sends the frame it received last (first its own)
+    to the next rank and receives one from the previous rank; a received
+    frame is forwarded as the same bytes object, and the gathered payloads
+    are views into the frames. Every frame's tag, step and origin rank are
+    checked against the ring position it arrived at.
+    """
+    k = num_workers
+    nxt, prv = (rank + 1) % k, (rank - 1) % k
+    parts = [None] * k
+    parts[rank] = payload
+    message = frame(tag, payload)
+    for hop in range(1, k):
+        transport.send(rank, nxt, message)
+        message = transport.recv(prv, rank)
+        msg_tag, view = unframe(message)
+        if msg_tag != tag:
+            raise TransportError(f"tag mismatch: expected {tag}, got {msg_tag}")
+        msg_step, origin = _ORIGIN.unpack_from(view)
+        if msg_step != step:
+            raise TransportError(f"step mismatch: expected {step}, got {msg_step}")
+        expected = (rank - hop) % k
+        if origin != expected:
+            raise TransportError(f"origin mismatch: expected rank {expected}, got rank {origin}")
+        parts[origin] = view
+    return parts
+
+
 def ring_allreduce(transport, rank: int, num_workers: int, vector: np.ndarray,
                    step: int = 0) -> np.ndarray:
     """Elementwise sum across workers; every worker returns identical bytes.
 
-    Accepts float32 or float16 vectors. Contributions are widened to FP32 and
-    combined in ascending rank order at each chunk's finalizer, then the
-    result is stored back in the payload dtype and broadcast.
+    Accepts float32 or float16 vectors. Every worker gathers all K vectors,
+    adds them with rank_order_sum in FP32 and stores the sum in the payload
+    dtype.
     """
-    k = num_workers
     vector = np.ascontiguousarray(vector)
     if vector.dtype == np.float16:
         dtype = DType.F16
@@ -317,90 +350,26 @@ def ring_allreduce(transport, rank: int, num_workers: int, vector: np.ndarray,
         dtype = DType.F32
     else:
         raise TypeError(f"unsupported reduce dtype {vector.dtype}")
-    if k == 1:
+    if num_workers == 1:
         return vector.copy()
-    n = vector.size
-    bounds = _chunk_bounds(n, k)
-    my_chunks = [vector[a:b] for a, b in bounds]
-    nxt, prv = (rank + 1) % k, (rank - 1) % k
-
-    # reduce-scatter: bundles of raw contributions travel the ring; the
-    # bundle for chunk c starts at rank c and grows by one contribution per hop
-    bundle = [my_chunks[rank]]
-    bundle_index = rank
-    for s in range(k - 1):
-        for contrib in bundle:
-            transport.send(rank, nxt, frame(TAG_TENSOR_CHUNK,
-                                            chunk_payload(step, bundle_index, dtype, contrib)))
-        recv_index = (rank - s - 1) % k
-        received = []
-        for _ in range(s + 1):
-            tag, payload = read_message(transport, prv, rank)
-            if tag != TAG_TENSOR_CHUNK:
-                raise TransportError(f"unexpected tag {tag} during reduce-scatter")
-            msg_step, msg_chunk, msg_dtype, arr = parse_chunk(payload)
-            if msg_step != step:
-                raise TransportError(f"step mismatch: got {msg_step}, expected {step}")
-            if msg_chunk != recv_index:
-                raise TransportError(f"chunk mismatch: got {msg_chunk}, expected {recv_index}")
-            a, b = bounds[recv_index]
-            if arr.size != b - a:
-                raise TransportError(
-                    f"mismatched lengths: chunk {recv_index} carries {arr.size}, local is {b - a}")
-            received.append(arr)
-        received.append(my_chunks[recv_index])
-        bundle = received
-        bundle_index = recv_index
-
-    # bundle now holds chunk (rank+1)%k contributions in path order
-    # [c, c+1, ..., c+k-1 (mod k)]; rotate to rank order and sum ascending
-    final_index = (rank + 1) % k
-    acc = rank_order_sum([bundle[(j - final_index) % k] for j in range(k)])
-    finalized = {final_index: acc.astype(vector.dtype)}
-
-    # allgather: rotate finalized chunks around the ring
-    send_index = final_index
-    for s in range(k - 1):
-        transport.send(rank, nxt, frame(TAG_TENSOR_CHUNK,
-                                        chunk_payload(step, send_index, dtype,
-                                                      finalized[send_index])))
-        tag, payload = read_message(transport, prv, rank)
-        if tag != TAG_TENSOR_CHUNK:
-            raise TransportError(f"unexpected tag {tag} during allgather")
-        msg_step, msg_chunk, _, arr = parse_chunk(payload)
-        if msg_step != step:
-            raise TransportError(f"step mismatch in allgather: {msg_step} != {step}")
-        finalized[msg_chunk] = arr.astype(vector.dtype)
-        send_index = msg_chunk
-
-    if len(finalized) != k:
-        raise TransportError(f"allgather incomplete: {len(finalized)} of {k} chunks")
-    out = np.empty(n, dtype=vector.dtype)
-    for c, (a, b) in enumerate(bounds):
-        out[a:b] = finalized[c]
-    return out
+    payloads = ring_allgather(transport, rank, num_workers, TAG_TENSOR_CHUNK,
+                              chunk_payload(step, rank, dtype, vector), step)
+    parts = [parse_chunk(p)[3] for p in payloads]
+    for origin, part in enumerate(parts):
+        if part.size != vector.size:
+            raise TransportError(f"mismatched lengths: rank {origin} sent {part.size} "
+                                 f"elements, rank {rank} has {vector.size}")
+    return rank_order_sum(parts).astype(vector.dtype)
 
 
 def allreduce_flag_or(transport, rank: int, num_workers: int, flag: bool,
                       step: int = 0) -> bool:
     """Logical OR of all workers' flags; identical result everywhere."""
-    k = num_workers
-    if k == 1:
+    if num_workers == 1:
         return bool(flag)
-    nxt, prv = (rank + 1) % k, (rank - 1) % k
-    acc = bool(flag)
-    current = bool(flag)
-    for _ in range(k - 1):
-        transport.send(rank, nxt, frame(TAG_FLAG, struct.pack("<IB", step, int(current))))
-        tag, payload = read_message(transport, prv, rank)
-        if tag != TAG_FLAG:
-            raise TransportError(f"unexpected tag {tag} during flag reduce")
-        msg_step, value = struct.unpack("<IB", payload)
-        if msg_step != step:
-            raise TransportError(f"flag step mismatch: {msg_step} != {step}")
-        current = bool(value)
-        acc = acc or current
-    return acc
+    payloads = ring_allgather(transport, rank, num_workers, TAG_FLAG,
+                              _FLAG.pack(step, rank, int(flag)), step)
+    return any(_FLAG.unpack(p)[2] for p in payloads)
 
 
 # -- replicas and worker groups ----------------------------------------------------

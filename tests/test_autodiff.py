@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from miniseq import halffloat as hf
 from miniseq.autodiff import Tape, Variable, backward
 from miniseq.tensor import DType, Tensor
 
@@ -169,6 +170,32 @@ class TestFiniteDifferences:
             lambda p: float((p["x"] * p["x"]).mean()),
             {"x": (4, 5)},
         )
+
+
+class TestMixedForwardBits:
+    """The Tape's F16 forward values against the bit-exact binary16 kernel."""
+
+    def test_mul_matches_scalar_binop_model(self):
+        # operands from 2^-13 to 2^13: some products flush, go subnormal or overflow
+        rng = np.random.default_rng(2)
+        xs, ys = rng.uniform(-1, 1, size=(2, 200)) * 2.0 ** rng.integers(-12, 13, size=(2, 200))
+        tape = Tape("mixed")
+        a = tape.constant(Tensor.from_array(xs, DType.F16))
+        b = tape.constant(Tensor.from_array(ys, DType.F16))
+        out = tape.mul(a, b).value
+        assert out.dtype is DType.F16
+        expect = [hf.f16_binop("mul", int(x), int(y))
+                  for x, y in zip(hf.np16_to_bits(a.value.data), hf.np16_to_bits(b.value.data))]
+        assert hf.np16_to_bits(out.data).tolist() == expect
+
+    def test_sigmoid_and_tanh_round_once(self):
+        tape = Tape("mixed")
+        x = tape.constant(Tensor.from_array(np.linspace(-4, 4, 97), DType.F16))
+        x32 = x.value.f32()
+        for out, y32 in ((tape.sigmoid(x).value, 1.0 / (1.0 + np.exp(-x32))),
+                         (tape.tanh(x).value, np.tanh(x32))):
+            assert out.dtype is DType.F16
+            assert np.array_equal(hf.np16_to_bits(out.data), hf.narrow(y32))
 
 
 class TestBackwardSemantics:

@@ -11,6 +11,8 @@ from miniseq import runner
 from miniseq.blocks import CopyTask, ModelSpec, Seq2SeqModel
 from miniseq.config import parse_config
 from miniseq.distrib import (
+    TAG_FLAG,
+    TAG_TENSOR_CHUNK,
     InProcessTransport,
     Replica,
     ReduceBucket,
@@ -80,8 +82,8 @@ class TestWireFormat:
     def test_chunk_payload_round_trip(self):
         arr = np.array([1.5, -2.0], dtype=np.float32)
         payload = chunk_payload(3, 1, DType.F32, arr)
-        step, chunk, dtype, back = parse_chunk(payload)
-        assert (step, chunk, dtype) == (3, 1, DType.F32)
+        step, origin, dtype, back = parse_chunk(payload)
+        assert (step, origin, dtype) == (3, 1, DType.F32)
         assert np.array_equal(back, arr)
 
     def test_chunk_payload_f16(self):
@@ -139,6 +141,40 @@ class TestRingAllreduce:
 
         with pytest.raises(TransportError):
             run_collective(2, fn)
+
+
+class ForgedTransport:
+    """Hands every receiver the same crafted frame and drops what is sent."""
+
+    def __init__(self, message):
+        self.message = message
+
+    def send(self, src, dst, message):
+        pass
+
+    def recv(self, src, dst):
+        return self.message
+
+
+class TestAllgatherChecks:
+    @pytest.mark.parametrize("tag,step,origin,match", [
+        (TAG_FLAG, 5, 0, r"tag mismatch: expected 0, got 1"),
+        (TAG_TENSOR_CHUNK, 4, 0, r"step mismatch: expected 5, got 4"),
+        (TAG_TENSOR_CHUNK, 5, 2, r"origin mismatch: expected rank 0, got rank 2"),
+    ], ids=["tag", "step", "origin"])
+    def test_forged_frame_names_expected_and_received(self, tag, step, origin, match):
+        vec = np.ones(4, dtype=np.float32)
+        forged = frame(tag, chunk_payload(step, origin, DType.F32, vec))
+        with pytest.raises(TransportError, match=match):
+            ring_allreduce(ForgedTransport(forged), 1, 3, vec, step=5)
+
+    def test_replayed_frame_fails_the_origin_check(self):
+        # rank 1 of 3 takes rank 0's frame at the first hop; the same frame
+        # arriving again at the second hop is not rank 2's
+        vec = np.ones(4, dtype=np.float32)
+        replayed = frame(TAG_TENSOR_CHUNK, chunk_payload(5, 0, DType.F32, vec))
+        with pytest.raises(TransportError, match=r"expected rank 2, got rank 0"):
+            ring_allreduce(ForgedTransport(replayed), 1, 3, vec, step=5)
 
 
 class TestFlagOr:
@@ -329,6 +365,18 @@ class TestTurn:
         assert out == [b"y"]
 
 
+class TestInProcessTransport:
+    def test_non_neighbor_traffic_rejected(self):
+        tr = InProcessTransport(3, timeout=5.0)
+        for src, dst in ((0, 0), (0, 2), (1, 0)):
+            with pytest.raises(TransportError, match="ring-neighbor"):
+                tr.send(src, dst, b"x")
+            with pytest.raises(TransportError, match="ring-neighbor"):
+                tr.recv(src, dst)
+        tr.send(2, 0, b"y")
+        assert tr.recv(2, 0) == b"y"
+
+
 class TestSingleCopyFp32:
     """FP32 is mixed precision with an identity cast: master is the weights."""
 
@@ -482,33 +530,54 @@ class TestTcpTransport:
             sk.close()
         return ports
 
-    def test_ring_over_tcp_matches_oracle(self):
-        ports = self._free_ports(3)
-        addresses = [f"127.0.0.1:{p}" for p in ports]
-        rng = np.random.default_rng(1)
-        vecs = [rng.normal(size=37).astype(np.float32) for _ in range(3)]
-        expect = naive_sum(vecs)
-        results = [None] * 3
+    def _run_ring(self, k, fn):
+        """Run fn(transport, rank) on k threads, one TcpTransport each."""
+        addresses = [f"127.0.0.1:{p}" for p in self._free_ports(k)]
+        results = [None] * k
         errors = []
 
         def work(rank):
             try:
                 tr = TcpTransport(rank, addresses, timeout=20.0)
-                results[rank] = ring_allreduce(tr, rank, 3, vecs[rank], step=1)
-                flag = allreduce_flag_or(tr, rank, 3, rank == 0, step=1)
-                assert flag is True
-                tr.close()
+                try:
+                    results[rank] = fn(tr, rank)
+                finally:
+                    tr.close()
             except Exception as e:  # noqa: BLE001
                 errors.append(e)
 
-        threads = [threading.Thread(target=work, args=(r,)) for r in range(3)]
+        threads = [threading.Thread(target=work, args=(r,)) for r in range(k)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60.0)
+            assert not t.is_alive()
         assert not errors, errors
-        for out in results:
+        return results
+
+    def test_ring_over_tcp_matches_oracle(self):
+        rng = np.random.default_rng(1)
+        vecs = [rng.normal(size=37).astype(np.float32) for _ in range(3)]
+        expect = naive_sum(vecs)
+        results = self._run_ring(3, lambda tr, r: (ring_allreduce(tr, r, 3, vecs[r], step=1),
+                                                   allreduce_flag_or(tr, r, 3, r == 0, step=1)))
+        for out, flag in results:
             assert np.array_equal(out, expect)
+            assert flag is True
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_benchmark_gradient_length_over_tcp(self, k):
+        # 15,504 floats is the benchmark model's gradient; every rank sends a
+        # whole vector through sendall before it receives
+        rng = np.random.default_rng(k)
+        vecs = [rng.normal(size=15504).astype(np.float32) for _ in range(k)]
+        expect = naive_sum(vecs)
+        results = self._run_ring(k, lambda tr, r: (ring_allreduce(tr, r, k, vecs[r], step=2),
+                                                   allreduce_flag_or(tr, r, k, r == k - 1, step=2),
+                                                   allreduce_flag_or(tr, r, k, False, step=3)))
+        for out, flag, no_flag in results:
+            assert np.array_equal(out, expect)
+            assert (flag, no_flag) == (True, False)
 
     def test_non_neighbor_traffic_rejected(self):
         ports = self._free_ports(2)

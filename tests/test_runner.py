@@ -417,3 +417,15 @@ class TestCli:
         cfg_path.write_text(cfg.to_json(), encoding="utf-8")
         from miniseq.cli import main
         assert main(["--config_file", str(cfg_path), "--mode", "eval"]) == 1
+
+
+
+EXAMPLE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "example_configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(EXAMPLE_DIR)))
+def test_example_config_trains_two_steps(name, tmp_path):
+    config = load_config(os.path.join(EXAMPLE_DIR, name))
+    config.max_steps = 2
+    config.checkpoint_dir = str(tmp_path / "ckpt")
+    assert run(config, "train").status == 0

@@ -10,11 +10,8 @@ from miniseq.tensor import (
     ShapeError,
     Tensor,
     cast,
-    elementwise,
     matmul_mixed,
     read_named_tensor,
-    reduce,
-    softmax,
     write_named_tensor,
 )
 
@@ -77,44 +74,6 @@ class TestMatmulMixed:
         assert np.max(np.abs(got - exact)) <= bound
 
 
-class TestElementwise:
-    def test_relu_and_tanh(self):
-        assert elementwise("relu", f32([-1.5])).f32()[0] == 0.0
-        assert elementwise("tanh", f32([0.0])).f32()[0] == 0.0
-
-    def test_f16_add_one_rounding_per_element(self):
-        ones = f16(np.ones(2048))
-        out = elementwise("add", ones, ones)
-        assert out.dtype is DType.F16
-        assert np.all(out.f32() == 2.0)
-
-    def test_f16_matches_scalar_binop_model(self):
-        rng = np.random.default_rng(2)
-        a = f16(rng.uniform(-100, 100, size=63))
-        b = f16(rng.uniform(-100, 100, size=63))
-        out = elementwise("mul", a, b)
-        for i in range(63):
-            expect = hf.f16_binop(
-                "mul", int(hf.np16_to_bits(a.data)[i]), int(hf.np16_to_bits(b.data)[i])
-            )
-            assert int(hf.np16_to_bits(out.data)[i]) == expect
-
-    def test_scale_and_neg(self):
-        t = f32([1.0, -2.0])
-        assert np.array_equal(elementwise("scale", t, scalar=3.0).f32(), [3.0, -6.0])
-        assert np.array_equal(elementwise("neg", t).f32(), [-1.0, 2.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            elementwise("add", f32(np.ones(3)), f32(np.ones(4)))
-
-    def test_transcendental_f16_single_final_rounding(self):
-        x = f16(np.linspace(-4, 4, 97))
-        out = elementwise("sigmoid", x)
-        expect = hf.narrow(1.0 / (1.0 + np.exp(-x.f32())))
-        assert np.array_equal(hf.np16_to_bits(out.data), expect)
-
-
 class TestCast:
     def test_same_dtype_returns_the_tensor_itself(self):
         for t in (f32([1.5, -2.0]), f16([1.5, -2.0])):
@@ -139,47 +98,6 @@ class TestCast:
         once = cast(t, DType.F16)
         twice = cast(once, DType.F16)
         assert np.array_equal(hf.np16_to_bits(once.data), hf.np16_to_bits(twice.data))
-
-
-class TestReduce:
-    def test_sum_and_max_abs(self):
-        assert reduce("sum", f32([1, 2, 3])).item() == 6.0
-        assert reduce("max_abs", f32([-3, 2])).item() == 3.0
-
-    def test_mean_of_f16_ones_exact(self):
-        t = f16(np.ones(4096))
-        assert reduce("mean", t).item() == 1.0
-
-    def test_result_dtype_is_f32(self):
-        assert reduce("sum", f16(np.ones(5))).dtype is DType.F32
-
-    def test_axis(self):
-        t = f32([[1, 2], [3, 4]])
-        assert np.array_equal(reduce("sum", t, axis=0).f32(), [4, 6])
-        with pytest.raises(ShapeError):
-            reduce("sum", t, axis=2)
-
-
-class TestSoftmax:
-    def test_symmetry(self):
-        out = softmax(f32([0.0, 0.0]))
-        assert np.allclose(out.f32(), [0.5, 0.5])
-
-    def test_stabilized_no_overflow(self):
-        out = softmax(f32([1000.0, 0.0]))
-        assert np.array_equal(out.f32(), [1.0, 0.0])
-
-    def test_matches_high_precision(self):
-        x = np.array([1.0, 2.0, 3.0])
-        out = softmax(f32(x)).f32()
-        expect = np.exp(x - x.max())
-        expect /= expect.sum()
-        assert np.max(np.abs(out - expect)) < 1e-6
-        assert abs(out.sum() - 1.0) < 1e-6
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            softmax(f32([np.nan, 1.0]))
 
 
 class TestSerialization:
