@@ -6,6 +6,14 @@ rounding per op, FP32 accumulation inside matrix products), while the loss
 op and its internals stay FP32 so that the loss-scale multiply cannot
 itself overflow. Under "float32" everything is FP32.
 
+Each node widens its value to FP32 at most once per tape (Node.f32), and
+every op that reads the node shares that array. Gradient fan-in accumulates
+in FP32 too: each op rounds its own input gradients into the input dtype,
+and when a node receives more than one, the contributions are summed in
+FP32, in the order backward() meets them, and the sum is rounded into the
+node's dtype once, when the op that produced the node consumes it or when
+it becomes a variable's gradient.
+
 The backward seed is where loss scaling enters: seeding with S instead of 1
 multiplies every gradient by S before it is rounded into the gradient dtype.
 """
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DType, ShapeError, Tensor, matmul_mixed, store
+from .tensor import DType, ShapeError, Tensor, store
 
 MODES = ("float32", "mixed")
 
@@ -39,11 +47,22 @@ class Variable:
 
 
 class Node:
-    __slots__ = ("value", "var_name")
+    __slots__ = ("value", "var_name", "_f32")
 
     def __init__(self, value: Tensor, var_name: str | None = None):
         self.value = value
         self.var_name = var_name
+        self._f32 = None
+
+    def f32(self) -> np.ndarray:
+        """The value widened to FP32, computed on the first call and then shared.
+
+        Ops read it and never write it. It lives as long as the node, so as
+        long as the tape that holds the node.
+        """
+        if self._f32 is None:
+            self._f32 = self.value.f32()
+        return self._f32
 
 
 class _Op:
@@ -95,8 +114,18 @@ class Tape:
         return out
 
     def matmul(self, a: Node, b: Node) -> Node:
-        out = matmul_mixed(a.value, b.value, self.model_dtype)
-        a32, b32 = a.value.f32(), b.value.f32()
+        """Matrix product with FP32 accumulation; inputs may be F16 or F32.
+
+        Both operands are widened to FP32 (exact for F16), the inner-dimension
+        sum accumulates in FP32 and is rounded once into the model dtype. The
+        backward reuses the same widened operands.
+        """
+        if a.value.data.ndim != 2 or b.value.data.ndim != 2:
+            raise ShapeError(f"matmul expects 2-d operands, got {a.value.shape} x {b.value.shape}")
+        if a.value.shape[1] != b.value.shape[0]:
+            raise ShapeError(f"inner dimensions disagree: {a.value.shape} x {b.value.shape}")
+        a32, b32 = a.f32(), b.f32()
+        out = store(np.matmul(a32, b32), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -109,7 +138,7 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"add: shapes {a.value.shape} vs {b.value.shape}")
-        out = store(a.value.f32() + b.value.f32(), self.model_dtype)
+        out = store(a.f32() + b.f32(), self.model_dtype)
 
         def backward(g: Tensor):
             return [g, g]
@@ -119,7 +148,7 @@ class Tape:
     def bias_add(self, x: Node, b: Node) -> Node:
         if x.value.shape[-1] != b.value.shape[-1] or b.value.data.ndim != 1:
             raise ShapeError(f"bias_add: shapes {x.value.shape} vs {b.value.shape}")
-        out = store(x.value.f32() + b.value.f32(), self.model_dtype)
+        out = store(x.f32() + b.f32(), self.model_dtype)
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -132,7 +161,7 @@ class Tape:
     def mul(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"mul: shapes {a.value.shape} vs {b.value.shape}")
-        a32, b32 = a.value.f32(), b.value.f32()
+        a32, b32 = a.f32(), b.f32()
         out = store(a32 * b32, self.model_dtype)
 
         def backward(g: Tensor):
@@ -144,7 +173,7 @@ class Tape:
 
     def scale(self, x: Node, c: float) -> Node:
         c32 = np.float32(c)
-        out = store(x.value.f32() * c32, self.model_dtype)
+        out = store(x.f32() * c32, self.model_dtype)
 
         def backward(g: Tensor):
             return [store(g.f32() * c32, x.value.dtype)]
@@ -152,7 +181,7 @@ class Tape:
         return self._emit("scale", [x], out, backward)
 
     def tanh(self, x: Node) -> Node:
-        y32 = np.tanh(x.value.f32())
+        y32 = np.tanh(x.f32())
         out = store(y32, self.model_dtype)
 
         def backward(g: Tensor):
@@ -161,7 +190,7 @@ class Tape:
         return self._emit("tanh", [x], out, backward)
 
     def sigmoid(self, x: Node) -> Node:
-        y32 = 1.0 / (1.0 + np.exp(-x.value.f32()))
+        y32 = 1.0 / (1.0 + np.exp(-x.f32()))
         out = store(y32, self.model_dtype)
 
         def backward(g: Tensor):
@@ -170,7 +199,7 @@ class Tape:
         return self._emit("sigmoid", [x], out, backward)
 
     def relu(self, x: Node) -> Node:
-        x32 = x.value.f32()
+        x32 = x.f32()
         out = store(np.maximum(x32, 0.0), self.model_dtype)
         pos = x32 > 0
 
@@ -217,7 +246,7 @@ class Tape:
 
     def attn_scores(self, query: Node, states: Node) -> Node:
         """Dot-product scores: [b,h] x [b,t,h] -> [b,t], FP32-accumulated."""
-        q32, s32 = query.value.f32(), states.value.f32()
+        q32, s32 = query.f32(), states.f32()
         if q32.shape[-1] != s32.shape[-1]:
             raise ShapeError(f"attn_scores: hidden {q32.shape} vs {s32.shape}")
         out = store(np.einsum("bh,bth->bt", q32, s32, dtype=np.float32), self.model_dtype)
@@ -237,7 +266,7 @@ class Tape:
         renormalized so each row sums to one before storage rounding.
         """
         m = np.asarray(valid_mask, dtype=np.float32)
-        x = scores.value.f32()
+        x = scores.f32()
         shifted = x - np.max(np.where(m > 0, x, -np.inf), axis=-1, keepdims=True)
         e = np.exp(shifted, dtype=np.float32) * m
         w32 = (e / np.sum(e, axis=-1, keepdims=True, dtype=np.float32)).astype(np.float32)
@@ -252,7 +281,7 @@ class Tape:
 
     def attn_context(self, weights: Node, states: Node) -> Node:
         """Convex combination of states: [b,t] x [b,t,h] -> [b,h]."""
-        w32, s32 = weights.value.f32(), states.value.f32()
+        w32, s32 = weights.f32(), states.f32()
         out = store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
 
         def backward(g: Tensor):
@@ -277,7 +306,7 @@ class Tape:
         n_valid = float(m.sum())
         if n_valid == 0:
             raise ValueError("cross entropy over an all-padding batch")
-        x = logits.value.f32()
+        x = logits.f32()
         shifted = x - np.max(x, axis=-1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted, dtype=np.float32), axis=-1, dtype=np.float32))
         b_idx, t_idx = np.indices(targets.shape)
@@ -298,7 +327,7 @@ class Tape:
 
     def reduce_mean(self, x: Node) -> Node:
         n = x.value.size
-        out = Tensor(np.asarray(np.mean(x.value.f32(), dtype=np.float32), dtype=np.float32),
+        out = Tensor(np.asarray(np.mean(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
 
         def backward(g: Tensor):
@@ -309,7 +338,7 @@ class Tape:
         return self._emit("reduce_mean", [x], out, backward, is_loss=True)
 
     def reduce_sum(self, x: Node) -> Node:
-        out = Tensor(np.asarray(np.sum(x.value.f32(), dtype=np.float32), dtype=np.float32),
+        out = Tensor(np.asarray(np.sum(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
 
         def backward(g: Tensor):
@@ -322,38 +351,51 @@ class Tape:
 def backward(tape: Tape, loss_seed: float = 1.0, loss: Node | None = None) -> dict[str, Tensor]:
     """Gradients of (loss_seed * loss) for every trainable variable on the tape.
 
-    Non-finite values propagate; detection is the caller's job. Gradient
-    dtype equals the variable dtype, so in mixed mode this is where small
-    values die (or survive, if the seed carried a loss scale).
+    Non-finite values propagate without warnings; detection is the caller's
+    job. Gradient dtype equals the variable dtype, so in mixed mode this is
+    where small values die (or survive, if the seed carried a loss scale).
     """
     if not tape.ops:
         raise ValueError("backward on an empty tape")
     root = loss if loss is not None else tape.ops[-1].output
+    # A node's only contribution so far, as the op returned it ...
     grads: dict[int, Tensor] = {
         id(root): Tensor(np.full(root.value.shape, np.float32(loss_seed), dtype=np.float32),
                          DType.F32)
     }
+    # ... or, from its second contribution on, a private FP32 running sum.
+    sums: dict[int, np.ndarray] = {}
 
     def accumulate(node: Node, g: Tensor):
-        prev = grads.get(id(node))
-        if prev is None:
-            grads[id(node)] = g
+        key = id(node)
+        acc = sums.get(key)
+        if acc is not None:
+            acc += g.f32()
+        elif key in grads:
+            # a fresh buffer: contributions may be shared (add hands one tensor
+            # to both inputs, bias_add passes its own gradient through)
+            sums[key] = grads.pop(key).f32() + g.f32()
         else:
-            acc = prev.f32() + g.f32()
-            grads[id(node)] = store(acc, prev.dtype)
+            grads[key] = g
 
-    for op in reversed(tape.ops):
-        out_grad = grads.get(id(op.output))
-        if out_grad is None:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            in_grads = op.backward(out_grad)
-        for node, g in zip(op.inputs, in_grads):
-            if g is not None:
-                accumulate(node, g)
+    def gradient(node: Node) -> Tensor | None:
+        acc = sums.pop(id(node), None)
+        if acc is not None:
+            return store(acc, node.value.dtype)
+        return grads.pop(id(node), None)
 
     result: dict[str, Tensor] = {}
-    for name, node in tape._leaves.items():
-        if tape.variables[name].trainable and id(node) in grads:
-            result[name] = grads[id(node)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op in reversed(tape.ops):
+            out_grad = gradient(op.output)
+            if out_grad is None:
+                continue
+            for node, g in zip(op.inputs, op.backward(out_grad)):
+                if g is not None:
+                    accumulate(node, g)
+        for name, node in tape._leaves.items():
+            if tape.variables[name].trainable:
+                g = gradient(node)
+                if g is not None:
+                    result[name] = g
     return result

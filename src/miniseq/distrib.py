@@ -195,6 +195,12 @@ class TcpTransport:
     Each rank listens on its roster address, accepts one connection from the
     previous rank, and connects to the next. Ring collectives only ever use
     these two edges.
+
+    send() queues the message for a writer thread and returns, so a rank
+    that sends a frame larger than the socket buffers still goes on to read
+    its previous rank's frame; with a blocking send every rank of the ring
+    would wait in sendall for a peer that is itself waiting in sendall.
+    close() lets the writer finish what is queued; abort() does not.
     """
 
     kind = "tcp"
@@ -204,11 +210,23 @@ class TcpTransport:
         self.num_workers = len(addresses)
         self.addresses = list(addresses)
         self.timeout = timeout
+        self._next = (rank + 1) % self.num_workers
+        self._prev = (rank - 1) % self.num_workers
         self._next_sock = None
         self._prev_sock = None
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._writer = None
+        self._send_error: OSError | None = None
         if self.num_workers > 1:
             self._connect_ring()
-            self._validate_roster()
+            self._writer = threading.Thread(target=self._write_loop, daemon=True,
+                                            name=f"tcp-writer-{rank}")
+            self._writer.start()
+            try:
+                self._validate_roster()
+            except TransportError:
+                self.abort()
+                raise
 
     def _parse(self, addr: str) -> tuple[str, int]:
         host, port = addr.rsplit(":", 1)
@@ -218,8 +236,7 @@ class TcpTransport:
         host, port = self._parse(self.addresses[self.rank])
         server = socket.create_server((host, port))
         server.settimeout(self.timeout)
-        nxt = (self.rank + 1) % self.num_workers
-        nxt_host, nxt_port = self._parse(self.addresses[nxt])
+        nxt_host, nxt_port = self._parse(self.addresses[self._next])
         deadline = time.monotonic() + self.timeout
         sock = None
         while sock is None:
@@ -228,14 +245,15 @@ class TcpTransport:
             except OSError:
                 if time.monotonic() > deadline:
                     server.close()
-                    raise TransportError(f"rank {self.rank}: cannot reach {nxt_host}:{nxt_port}")
+                    raise TransportError(f"rank {self.rank}: cannot reach rank {self._next} "
+                                         f"at {nxt_host}:{nxt_port}")
                 time.sleep(0.05)
         self._next_sock = sock
         self._next_sock.settimeout(self.timeout)
         try:
             self._prev_sock, _ = server.accept()
         except socket.timeout:
-            raise TransportError(f"rank {self.rank}: no connection from previous rank") from None
+            raise TransportError(f"rank {self.rank}: no connection from rank {self._prev}") from None
         finally:
             server.close()
         self._prev_sock.settimeout(self.timeout)
@@ -243,53 +261,72 @@ class TcpTransport:
     def _validate_roster(self):
         digest = hashlib.sha256(json.dumps(self.addresses).encode()).digest()
         if self.rank == 0:
-            self.send(self.rank, (self.rank + 1) % self.num_workers, frame(TAG_CONTROL, digest))
-            tag, payload = unframe(self.recv((self.rank - 1) % self.num_workers, self.rank))
-            if tag != TAG_CONTROL or payload != digest:
-                raise TransportError("worker roster mismatch")
-        else:
-            tag, payload = unframe(self.recv((self.rank - 1) % self.num_workers, self.rank))
-            if tag != TAG_CONTROL or payload != digest:
-                raise TransportError(f"rank {self.rank}: roster mismatch with rank 0")
-            self.send(self.rank, (self.rank + 1) % self.num_workers, frame(TAG_CONTROL, payload))
+            self.send(self.rank, self._next, frame(TAG_CONTROL, digest))
+        tag, payload = unframe(self.recv(self._prev, self.rank))
+        if tag != TAG_CONTROL or payload != digest:
+            raise TransportError(f"rank {self.rank}: roster mismatch with rank {self._prev}")
+        if self.rank != 0:
+            self.send(self.rank, self._next, frame(TAG_CONTROL, digest))
+
+    def _write_loop(self):
+        while (message := self._outbox.get()) is not None:
+            try:
+                self._next_sock.sendall(message)
+            except OSError as e:
+                self._send_error = e
+                return
 
     def abort(self):
-        self.close()
+        self._close(flush=False)
 
-    def send(self, src: int, dst: int, message: bytes) -> None:
-        if dst != (self.rank + 1) % self.num_workers:
-            raise TransportError("tcp transport only carries ring-neighbor traffic")
-        try:
-            self._next_sock.sendall(message)
-        except OSError as e:
-            raise TransportError(f"send failed: {e}") from e
+    def send(self, src: int, dst: int, message) -> None:
+        """Queue ``message`` for the next rank; it must not change until written."""
+        if dst != self._next:
+            raise TransportError(f"rank {self.rank}: tcp transport only carries ring-neighbor "
+                                 f"traffic, not to rank {dst}")
+        if self._send_error is not None:
+            raise TransportError(f"rank {self.rank}: send to rank {dst} failed: "
+                                 f"{self._send_error}")
+        self._outbox.put(message)
 
-    def recv(self, src: int, dst: int) -> bytes:
-        if src != (self.rank - 1) % self.num_workers:
-            raise TransportError("tcp transport only carries ring-neighbor traffic")
+    def recv(self, src: int, dst: int) -> memoryview:
+        """The next frame from the previous rank, as a read-only view."""
+        if src != self._prev:
+            raise TransportError(f"rank {self.rank}: tcp transport only carries ring-neighbor "
+                                 f"traffic, not from rank {src}")
         try:
-            header = self._read_exact(5)
+            header = bytearray(5)
+            self._read_exact(memoryview(header))
             length, _tag = struct.unpack("<IB", header)
-            return header + self._read_exact(length)
+            message = bytearray(5 + length)
+            message[:5] = header
+            self._read_exact(memoryview(message)[5:])
         except OSError as e:
-            raise TransportError(f"recv failed: {e}") from e
+            raise TransportError(f"rank {self.rank}: recv from rank {src} failed: {e}") from e
+        return memoryview(message).toreadonly()
 
-    def _read_exact(self, n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            part = self._prev_sock.recv(n - len(buf))
-            if not part:
-                raise TransportError("peer closed connection")
-            buf += part
-        return buf
+    def _read_exact(self, view: memoryview) -> None:
+        while len(view):
+            n = self._prev_sock.recv_into(view)
+            if n == 0:
+                raise TransportError(f"rank {self.rank}: rank {self._prev} closed the connection")
+            view = view[n:]
 
     def close(self):
+        self._close(flush=True)
+
+    def _close(self, flush: bool):
+        if self._writer is not None:
+            self._outbox.put(None)
+            if flush:
+                self._writer.join(timeout=self.timeout)
         for s in (self._next_sock, self._prev_sock):
             if s is not None:
                 try:
-                    s.close()
+                    s.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked on the socket
                 except OSError:
                     pass
+                s.close()
 
 
 # -- collectives -----------------------------------------------------------------

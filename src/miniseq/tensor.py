@@ -1,9 +1,10 @@
-"""Dense tensors with FP16/FP32 element types and mixed-precision kernels.
+"""Dense tensors with FP16/FP32 element types, rounding and serialization.
 
 FP16 tensors store np.float16 buffers whose bit patterns always come from the
 halffloat conversion routines, never from host float16 arithmetic. Every
 half-precision operation follows the widen/compute-in-FP32/round-once model;
-matrix products and reductions accumulate in FP32 regardless of input dtype.
+matrix products and reductions (the Tape ops in autodiff) accumulate in FP32
+regardless of input dtype.
 
 Tensors are immutable by convention: operations return new tensors and no
 public API mutates a buffer in place.
@@ -111,20 +112,6 @@ def cast(t: Tensor, to: DType) -> Tensor:
     if t.dtype is to:
         return t
     return store(t.f32(), to)
-
-
-def matmul_mixed(a: Tensor, b: Tensor, out_dtype: DType) -> Tensor:
-    """Matrix product with FP32 accumulation; inputs may be F16 or F32.
-
-    Each product term widens its operands to FP32; the inner-dimension sum
-    accumulates in FP32 and is rounded once when stored to F16 output.
-    """
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    acc = np.matmul(a.f32(), b.f32())
-    return store(acc, out_dtype)
 
 
 # -- named-tensor serialization ----------------------------------------------

@@ -1,13 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from miniseq import halffloat as hf
 from miniseq.autodiff import Tape, Variable, backward
-from miniseq.tensor import DType, Tensor
+from miniseq.tensor import DType, ShapeError, Tensor
 
 
 def var(name, arr, dtype=DType.F32):
     return Variable(name, Tensor.from_array(arr, dtype))
+
+
+def f16(arr):
+    return Tensor.from_array(arr, DType.F16)
+
+
+def f32(arr):
+    return Tensor.from_array(arr, DType.F32)
 
 
 def fd_grad(f, x, step=1e-3):
@@ -298,3 +308,152 @@ class TestBackwardSemantics:
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError):
             backward(Tape("float32"))
+
+
+def tape_matmul(a: Tensor, b: Tensor, mode: str) -> Tensor:
+    tape = Tape(mode)
+    return tape.matmul(tape.constant(a), tape.constant(b)).value
+
+
+class TestTapeMatmul:
+    def test_identity(self):
+        out = tape_matmul(f16(np.eye(2)), f16([[1, 2], [3, 4]]), "float32")
+        assert out.dtype is DType.F32
+        assert np.array_equal(out.f32(), [[1, 2], [3, 4]])
+
+    def test_fp32_accumulation_beats_sequential_f16(self):
+        # 4096 ones: FP32 accumulation is exact, while a sequential pure-F16
+        # accumulator stalls once the ulp at the running sum exceeds 1.
+        n = 4096
+        for mode in ("float32", "mixed"):
+            out = tape_matmul(f16(np.ones((1, n))), f16(np.ones((n, 1))), mode)
+            assert out.f32()[0, 0] == 4096.0
+
+        acc = hf.f32_to_f16(0.0)
+        one = hf.f32_to_f16(1.0)
+        for _ in range(n):
+            acc = hf.f16_binop("add", acc, one)
+        assert hf.f16_to_f32(acc) == 2048.0
+
+    def test_zero_matrix(self):
+        out = tape_matmul(f16(np.zeros((3, 2))), f16(np.ones((2, 4))), "mixed")
+        assert out.dtype is DType.F16
+        assert np.array_equal(out.f32(), np.zeros((3, 4)))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            tape_matmul(f32(np.ones((2, 3))), f32(np.ones((2, 3))), "float32")
+        with pytest.raises(ShapeError):
+            tape_matmul(f32(np.ones(3)), f32(np.ones((3, 2))), "float32")
+
+    def test_f32_inputs_bit_equal_plain_matmul(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(5, 7)).astype(np.float32)
+        b = rng.normal(size=(7, 3)).astype(np.float32)
+        out = tape_matmul(f32(a), f32(b), "float32")
+        assert np.array_equal(out.f32(), np.matmul(a, b))
+
+    def test_f16_error_bound(self):
+        rng = np.random.default_rng(1)
+        k = 64
+        a16 = f16(rng.normal(size=(4, k)))
+        b16 = f16(rng.normal(size=(k, 4)))
+        got = tape_matmul(a16, b16, "float32").f32()
+        exact = np.matmul(a16.f32().astype(np.float64), b16.f32().astype(np.float64))
+        bound = k * 2.0 ** -11 * np.max(np.abs(a16.f32())) * np.max(np.abs(b16.f32()))
+        assert np.max(np.abs(got - exact)) <= bound
+
+
+def fan_in(mode, dtype, x_arr, consts, seed, through_op=False):
+    """Gradient of x when ``sum_i scale(y, c_i)`` feeds reduce_sum.
+
+    y is x itself, or scale(x, 1) when ``through_op``, so that the fan-in
+    lands on an op's output instead of a leaf. backward() meets the scale ops
+    in reverse, so y receives the contributions for consts[-1] first.
+    """
+    tape = Tape(mode)
+    x = tape.leaf(var("x", x_arr, dtype))
+    y = tape.scale(x, 1.0) if through_op else x
+    terms = [tape.scale(y, c) for c in consts]
+    total = terms[0]
+    for t in terms[1:]:
+        total = tape.add(total, t)
+    tape.reduce_sum(total)
+    return backward(tape, seed)["x"]
+
+
+class TestFanIn:
+    @pytest.mark.parametrize("through_op", [False, True])
+    @pytest.mark.parametrize("case", ["tie", "random"])
+    def test_mixed_sum_rounds_once(self, case, through_op):
+        rng = np.random.default_rng(3)
+        if case == "tie":
+            # met in the order 1, 2^-11, 2^-11: 1 + 2^-11 is an F16 tie that
+            # rounds to 1, so an F16 running sum loses both small terms
+            x, consts, seed = np.ones(4), [2.0 ** -11, 2.0 ** -11, 1.0], 1.0
+        else:
+            x, consts, seed = rng.uniform(-1, 1, size=6), list(rng.uniform(-3, 3, size=3)), 1000.0
+        g = fan_in("mixed", DType.F16, x, consts, seed, through_op)
+        assert g.dtype is DType.F16
+        # reduce_sum rounds the seed to F16, each scale rounds its product
+        g_out = hf.widen(hf.narrow(np.full(len(x), seed, dtype=np.float32)))
+        parts = [hf.widen(hf.narrow(g_out * np.float32(c))) for c in reversed(consts)]
+        acc = parts[0] + parts[1]
+        acc += parts[2]
+        assert np.array_equal(hf.np16_to_bits(g.data), hf.narrow(acc))
+
+    @pytest.mark.parametrize("through_op", [False, True])
+    def test_mixed_sum_survives_an_f16_overflowing_partial_sum(self, through_op):
+        # met in the order 40000, 40000, -40000: an F16 running sum is inf
+        # after the second term, the FP32 sum comes back to 40000
+        g = fan_in("mixed", DType.F16, [2.0 ** -14], [-40000.0, 40000.0, 40000.0], 1.0,
+                   through_op)
+        assert g.f32()[0] == 40000.0
+
+    def test_fp32_sum_is_left_to_right(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=50)
+        consts = [1.0, 3.0e7, -3.0e7, 0.1]
+        seed = np.float32(1.7)
+        g = fan_in("float32", DType.F32, x, consts, float(seed))
+        parts = [np.full(50, seed * np.float32(c), dtype=np.float32) for c in reversed(consts)]
+        acc = parts[0]
+        for p in parts[1:]:
+            acc = acc + p
+        assert np.array_equal(g.f32().view(np.uint32), acc.view(np.uint32))
+
+    def test_shared_pass_through_gradients_are_not_mutated(self):
+        # v's, w's and s's gradients are the loss seed tensor itself (add and
+        # bias_add pass it through); x receives it first, then 3x it from scale
+        tape = Tape("float32")
+        x = tape.leaf(var("x", np.ones((2, 3))))
+        w = tape.leaf(var("w", np.ones((2, 3))))
+        b = tape.leaf(var("b", np.ones(3)))
+        v = tape.scale(x, 3.0)
+        s = tape.bias_add(x, b)
+        u = tape.add(s, w)
+        tape.reduce_sum(tape.add(u, v))
+        grads = backward(tape, 1.0)
+        assert np.array_equal(grads["w"].f32(), np.ones((2, 3)))
+        assert np.array_equal(grads["x"].f32(), np.full((2, 3), 4.0))
+        assert np.array_equal(grads["b"].f32(), np.full(3, 2.0))
+
+    def test_inf_minus_inf_fan_in_is_silent(self):
+        # a 2^16 seed rounds to F16 inf, so the contributions are +inf and -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for through_op in (False, True):
+                g = fan_in("mixed", DType.F16, [0.5], [1.0, -1.0], 2.0 ** 16, through_op)
+                assert np.isnan(g.f32()).all()
+
+
+class TestNodeF32:
+    def test_widened_once_and_shared(self):
+        tape = Tape("mixed")
+        x = tape.constant(f16([0.5, -2.0, 3.0]))
+        y = tape.tanh(x)
+        for node in (x, y):
+            first = node.f32()
+            assert first.dtype == np.float32
+            assert np.array_equal(first, node.value.f32())
+            assert node.f32() is first

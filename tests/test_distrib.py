@@ -530,7 +530,7 @@ class TestTcpTransport:
             sk.close()
         return ports
 
-    def _run_ring(self, k, fn):
+    def _run_ring(self, k, fn, timeout=20.0, close=True):
         """Run fn(transport, rank) on k threads, one TcpTransport each."""
         addresses = [f"127.0.0.1:{p}" for p in self._free_ports(k)]
         results = [None] * k
@@ -538,11 +538,12 @@ class TestTcpTransport:
 
         def work(rank):
             try:
-                tr = TcpTransport(rank, addresses, timeout=20.0)
+                tr = TcpTransport(rank, addresses, timeout=timeout)
                 try:
                     results[rank] = fn(tr, rank)
                 finally:
-                    tr.close()
+                    if close:
+                        tr.close()
             except Exception as e:  # noqa: BLE001
                 errors.append(e)
 
@@ -554,6 +555,10 @@ class TestTcpTransport:
             assert not t.is_alive()
         assert not errors, errors
         return results
+
+    def _connect_pair(self):
+        """Two connected TcpTransports, ranks 0 and 1, with a 10 s timeout."""
+        return self._run_ring(2, lambda tr, r: tr, timeout=10.0, close=False)
 
     def test_ring_over_tcp_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -568,7 +573,7 @@ class TestTcpTransport:
     @pytest.mark.parametrize("k", [2, 3])
     def test_benchmark_gradient_length_over_tcp(self, k):
         # 15,504 floats is the benchmark model's gradient; every rank sends a
-        # whole vector through sendall before it receives
+        # whole vector before it receives
         rng = np.random.default_rng(k)
         vecs = [rng.normal(size=15504).astype(np.float32) for _ in range(k)]
         expect = naive_sum(vecs)
@@ -579,24 +584,33 @@ class TestTcpTransport:
             assert np.array_equal(out, expect)
             assert (flag, no_flag) == (True, False)
 
+    def test_frame_larger_than_socket_buffers(self):
+        # 8 MB frames: both ranks send before they receive, which deadlocks
+        # if send blocks until the peer reads
+        k, n = 2, 2_000_000
+        rng = np.random.default_rng(5)
+        vecs = [rng.normal(size=n).astype(np.float32) for _ in range(k)]
+        expect = naive_sum(vecs)
+        results = self._run_ring(k, lambda tr, r: ring_allreduce(tr, r, k, vecs[r], step=4),
+                                 timeout=10.0)
+        for out in results:
+            assert np.array_equal(out, expect)
+
+    def test_errors_name_the_peer_rank(self):
+        transports = self._connect_pair()
+        transports[1].close()
+        with pytest.raises(TransportError, match="rank 0: rank 1 closed the connection"):
+            transports[0].recv(1, 0)
+        transports[0].send(0, 1, frame(TAG_FLAG, b"x" * 100))
+        deadline = time.monotonic() + 10.0
+        with pytest.raises(TransportError, match="rank 0: send to rank 1 failed"):
+            while time.monotonic() < deadline:  # the writer finds the closed peer
+                transports[0].send(0, 1, frame(TAG_FLAG, b"x" * 100))
+                time.sleep(0.01)
+        transports[0].close()
+
     def test_non_neighbor_traffic_rejected(self):
-        ports = self._free_ports(2)
-        addresses = [f"127.0.0.1:{p}" for p in ports]
-        transports = [None, None]
-        errors = []
-
-        def work(rank):
-            try:
-                transports[rank] = TcpTransport(rank, addresses, timeout=10.0)
-            except Exception as e:  # noqa: BLE001
-                errors.append(e)
-
-        threads = [threading.Thread(target=work, args=(r,)) for r in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+        transports = self._connect_pair()
         with pytest.raises(TransportError):
             transports[0].send(0, 0, b"x")
         for tr in transports:
