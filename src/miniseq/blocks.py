@@ -6,9 +6,12 @@ lengths), a Decoder turns a Representation back into per-token logits, and a
 Loss reduces logits to a scalar. Any registered encoder composes with any
 registered decoder through Representation.
 
-Synthetic tasks (copy, reverse) are seeded and indexable, so example i is
-the same bytes no matter which worker consumes it or when - that is what
-makes sharding, resume, and the distributed-equivalence checks exact.
+Synthetic tasks (copy, reverse) are seeded and indexable: token t of
+example i is a counter-based hash of (seed, split, i, t) (SplitMix64's
+finaliser; Salmon et al. 2011, "Parallel Random Numbers: As Easy as 1, 2,
+3"), so example i is the same bytes no matter which worker consumes it or
+when - that is what makes sharding, resume, and the distributed-equivalence
+checks exact - and a whole batch is a few array operations.
 """
 
 from __future__ import annotations
@@ -126,12 +129,14 @@ class DataLayer:
     def example(self, index: int) -> tuple[list[int], list[int]]:
         raise NotImplementedError
 
+    def take(self, indices: np.ndarray) -> Batch:
+        """The Batch of the examples at these global indices, in order."""
+        return make_batch([self.example(int(i)) for i in indices], self.vocab.size)
+
     def batch(self, step: int, batch_size: int) -> Batch:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        start = step * batch_size
-        examples = [self.example(start + j) for j in range(batch_size)]
-        return make_batch(examples, self.vocab.size)
+        return self.take(step * batch_size + np.arange(batch_size, dtype=np.int64))
 
     def shard(self, worker_index: int, num_workers: int) -> "DataLayer":
         if not 0 <= worker_index < num_workers:
@@ -154,6 +159,25 @@ class _Shard(DataLayer):
     def example(self, index: int):
         return self.base.example(self.worker_index + self.num_workers * index)
 
+    def take(self, indices: np.ndarray) -> Batch:
+        return self.base.take(self.worker_index + self.num_workers * np.asarray(indices))
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2^64 / golden ratio
+
+
+def _mix64(z):
+    """SplitMix64's finaliser on a Python int or elementwise on a uint64 array.
+
+    Both wrap mod 2^64: the mask does it for ints, and uint64 array
+    arithmetic wraps silently. A numpy uint64 scalar would warn on overflow,
+    so arrays stay arrays (``_ids`` never passes a 0-d one).
+    """
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
 
 class CopyTask(DataLayer):
     """Targets equal sources; fixed-length sequences over a numeric vocab."""
@@ -166,14 +190,34 @@ class CopyTask(DataLayer):
         self.seq_len = int(seq_len)
         self.seed = int(seed)
         self.split = split
-
-    def example(self, index: int):
         # zlib.crc32 keeps the per-split stream stable across processes
         # (str hash is salted per interpreter)
-        rng = np.random.default_rng((self.seed, zlib.crc32(self.split.encode()), index))
-        src = rng.integers(NUM_RESERVED, self.vocab.size, size=self.seq_len).tolist()
-        tgt = src[::-1] if self.reverse else list(src)
-        return src, tgt
+        self._key = _mix64(_mix64(self.seed & _MASK64) ^ zlib.crc32(split.encode()))
+        self._positions = np.arange(1, self.seq_len + 1, dtype=np.uint64) * _GAMMA
+
+    def _ids(self, indices) -> np.ndarray:
+        """[len(indices), seq_len] int64 source ids: token t of example i is
+        mix(mix(key + i * gamma) + (t + 1) * gamma) over the non-reserved ids."""
+        counters = np.asarray(indices, dtype=np.int64).astype(np.uint64)
+        rows = _mix64(counters * _GAMMA + self._key)
+        cells = _mix64(rows[:, None] + self._positions)
+        span = np.uint64(self.vocab.size - NUM_RESERVED)
+        return (cells % span).astype(np.int64) + NUM_RESERVED
+
+    def example(self, index: int):
+        src = self._ids([index])[0]
+        tgt = src[::-1] if self.reverse else src
+        return src.tolist(), tgt.tolist()
+
+    def take(self, indices: np.ndarray) -> Batch:
+        source = self._ids(indices)
+        b, n = source.shape
+        target = np.empty((b, n + 1), dtype=np.int64)
+        target[:, :n] = source[:, ::-1] if self.reverse else source
+        target[:, n] = EOS_ID
+        return Batch(source, np.ones((b, n), dtype=np.float32),
+                     np.full(b, n, dtype=np.int64), target,
+                     np.ones((b, n + 1), dtype=np.float32))
 
 
 class ReverseTask(CopyTask):

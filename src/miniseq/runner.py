@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import fnmatch
 import os
+import queue
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import DATA_LAYERS, EOS_ID, ModelSpec, Seq2SeqModel, token_accuracy
+from .blocks import DATA_LAYERS, DataLayer, ModelSpec, Seq2SeqModel, token_accuracy
 from .checkpoint import checkpoint_exists, load_checkpoint, save_checkpoint
 from .config import RUN_MODES, Config
 from .distrib import (
@@ -73,9 +75,19 @@ def _epoch(config: Config, step: int, examples_per_epoch) -> int:
     return consumed // examples_per_epoch
 
 
-def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int) -> dict:
-    """Teacher-forced loss/accuracy plus greedy BLEU/WER on the eval split."""
-    layer = DATA_LAYERS[config.data_layer](**{**config.data_layer_params, "split": "eval"})
+def _eval_layer(config: Config) -> DataLayer:
+    return DATA_LAYERS[config.data_layer](**{**config.data_layer_params, "split": "eval"})
+
+
+def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int,
+             layer: DataLayer | None = None) -> dict:
+    """Teacher-forced loss/accuracy plus greedy BLEU/WER on the eval split.
+
+    A run that evaluates more than once passes the eval ``layer`` it built
+    once; without one, this call builds it.
+    """
+    if layer is None:
+        layer = _eval_layer(config)
     losses, accs = [], []
     hyps, refs = [], []
     for i in range(config.eval_batches):
@@ -152,6 +164,7 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
     whole group for the logged tokens per second."""
     examples_per_epoch = rank0.data.examples_per_epoch
     summary: dict = {}
+    layer = None
     for step in range(start_step, config.max_steps):
         m = run_step(step)
         if log is not None:
@@ -167,7 +180,9 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
         summary["loss"] = m.loss
         if mode == "train_eval" and config.eval_every > 0 and (step + 1) % config.eval_every == 0:
             if log is not None:
-                summary.update(evaluate(config, rank0, log, step))
+                if layer is None:
+                    layer = _eval_layer(config)
+                summary.update(evaluate(config, rank0, log, step, layer))
     return summary
 
 
@@ -193,17 +208,47 @@ def _train_tcp_worker(config: Config, mode: str, rank: int, enable_logs: bool) -
 
 def _spawn_tcp_workers(config_path: str, mode: str, overrides: list[str],
                        num_workers: int) -> RunResult:
+    """Launch one process per rank; the first non-zero exit stops the others.
+
+    A thread per process waits on it, so exits arrive in the order they
+    happen and the rank that failed first is the one named.
+    """
     procs = []
-    for rank in range(num_workers):
-        cmd = [sys.executable, "-m", "miniseq.cli", "--config_file", config_path,
-               "--mode", mode, "--worker_rank", str(rank)] + overrides
-        procs.append(subprocess.Popen(cmd))
-    status = 0
-    for rank, p in enumerate(procs):
-        code = p.wait()
-        if code != 0:
-            status = code
-    return RunResult(status)
+    exits: queue.Queue = queue.Queue()
+    try:
+        for rank in range(num_workers):
+            cmd = [sys.executable, "-m", "miniseq.cli", "--config_file", config_path,
+                   "--mode", mode, "--worker_rank", str(rank)] + overrides
+            procs.append(subprocess.Popen(cmd))
+            threading.Thread(target=lambda r, p: exits.put((r, p.wait())),
+                             args=(rank, procs[-1]), daemon=True).start()
+        for _ in range(num_workers):
+            rank, code = exits.get()
+            if code != 0:
+                break
+        else:
+            return RunResult(0)
+    finally:
+        _stop(procs)
+    message = f"worker rank {rank} exited with status {code}; the other ranks were stopped"
+    print(f"error: {message}", file=sys.stderr, flush=True)
+    # a rank killed by signal N reports -N; the launcher exits 128 + N, as shells do
+    return RunResult(code if code > 0 else 128 - code,
+                     summary={"failed_rank": rank, "error": message})
+
+
+def _stop(procs: list[subprocess.Popen], grace: float = 5.0) -> None:
+    """Terminate the processes still running, then kill any that outlive ``grace``."""
+    for p in procs:
+        if p.poll() is None:
+            p.terminate()
+    deadline = time.monotonic() + grace
+    for p in procs:
+        try:
+            p.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            p.kill()
+            p.wait()
 
 
 def run(config: Config, mode: str, *, enable_logs: bool = False,

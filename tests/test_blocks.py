@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,7 @@ class TestDataLayers:
         b = CopyTask(seed=1).example(7)
         assert a == b
         assert CopyTask(seed=1, split="eval").example(7) != a
+        assert CopyTask(seed=2).example(7) != a
 
     def test_shard_partitions_stream(self):
         layer = CopyTask(vocab_size=16, seq_len=4, seed=9)
@@ -88,6 +91,79 @@ class TestDataLayers:
             seen.extend(got)
         # disjoint + full coverage of the window
         assert sorted(map(str, seen)) == sorted(map(str, base))
+
+    def test_golden_tokens_pin_the_stream(self):
+        train = CopyTask(seed=0)
+        assert [train.example(i)[0] for i in range(3)] == [
+            [12, 15, 7, 9, 6, 6, 13, 10],
+            [8, 6, 9, 10, 5, 9, 5, 14],
+            [13, 14, 6, 11, 5, 7, 12, 8]]
+        held_out = CopyTask(seed=0, split="eval")
+        assert [held_out.example(i)[0] for i in range(3)] == [
+            [11, 7, 7, 4, 13, 9, 14, 13],
+            [8, 5, 15, 9, 11, 13, 6, 4],
+            [7, 6, 9, 5, 15, 12, 15, 12]]
+
+    @pytest.mark.parametrize("layer", [
+        CopyTask(vocab_size=16, seq_len=8, seed=3),
+        ReverseTask(vocab_size=16, seq_len=8, seed=3),
+        ReverseTask(vocab_size=16, seq_len=8, seed=3).shard(2, 4),
+    ], ids=["copy", "reverse", "reverse-shard-2-of-4"])
+    def test_take_equals_per_example_make_batch(self, layer):
+        fast = layer.batch(3, 8)
+        slow = make_batch([layer.example(3 * 8 + j) for j in range(8)], layer.vocab.size)
+        for name in ("source_ids", "source_mask", "source_lengths", "target_ids",
+                     "target_mask"):
+            got, want = getattr(fast, name), getattr(slow, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_shard_batches_interleave_to_the_global_batch(self):
+        layer, k, per_worker, step = ReverseTask(vocab_size=16, seq_len=5, seed=2), 4, 8, 6
+        whole = layer.batch(step, k * per_worker)
+        shards = [layer.shard(r, k).batch(step, per_worker) for r in range(k)]
+        # global row r + k*j is shard r's row j
+        for name in ("source_ids", "target_ids", "source_lengths"):
+            joined = np.stack([getattr(b, name) for b in shards], axis=1)
+            np.testing.assert_array_equal(joined.reshape(getattr(whole, name).shape),
+                                          getattr(whole, name), err_msg=name)
+
+    def test_symbols_are_uniform(self):
+        vocab = 16
+        ids = CopyTask(vocab_size=vocab, seq_len=10, seed=5).batch(0, 10_000).source_ids
+        counts = np.bincount(ids.ravel(), minlength=vocab)
+        assert counts[:NUM_RESERVED].sum() == 0
+        expected = ids.size / (vocab - NUM_RESERVED)
+        assert np.all(np.abs(counts[NUM_RESERVED:] / expected - 1.0) < 0.05), counts
+
+    def test_matches_a_python_int_reference(self):
+        """The uint64 array arithmetic wraps exactly like mod-2^64 integers,
+        for negative and 64-bit seeds and for indices past 2^32."""
+        mask = (1 << 64) - 1
+        gamma = 0x9E3779B97F4A7C15
+
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        for seed, split in [(0, "train"), (-1, "eval"), (2**64 - 3, "dev")]:
+            key = mix(mix(seed & mask) ^ zlib.crc32(split.encode()))
+            layer = CopyTask(vocab_size=23, seq_len=5, seed=seed, split=split)
+            indices = [0, 1, 2**33 + 7, 2**62 + 11]
+            want = [[NUM_RESERVED + mix((mix((key + i * gamma) & mask) + (t + 1) * gamma)
+                                        & mask) % (23 - NUM_RESERVED)
+                     for t in range(5)] for i in indices]
+            np.testing.assert_array_equal(layer.take(np.array(indices)).source_ids, want)
+
+    def test_generation_raises_no_warning(self):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, -1, 2**63 + 5):
+                layer = ReverseTask(vocab_size=16, seq_len=8, seed=seed)
+                layer.example(0)
+                layer.shard(1, 4).batch(2**40, 32)
 
     def test_batch_shapes_and_eos(self):
         layer = CopyTask(vocab_size=16, seq_len=5, seed=0)

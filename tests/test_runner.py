@@ -1,12 +1,17 @@
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from miniseq import runner
+from miniseq.blocks import DATA_LAYERS, CopyTask
 from miniseq.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from miniseq.config import Config, ConfigError, load_config, parse_config
 from miniseq.metrics import CSV_HEADER, MetricsLog, MetricsRow, bleu4, wer
@@ -312,6 +317,24 @@ class TestRunModes:
                          if l.split(",")[2] == "eval" and "token_accuracy" in l]
         assert len(eval_acc_rows) == 3
 
+    def test_eval_layer_built_once_per_run(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(CopyTask):
+            def __init__(self, **params):
+                built.append(params.get("split", "train"))
+                super().__init__(**params)
+
+        monkeypatch.setitem(DATA_LAYERS, "copy_task", Counted)
+        evaluated = []
+        real_evaluate = runner.evaluate
+        monkeypatch.setattr(runner, "evaluate",
+                            lambda *args: evaluated.append(args[3]) or real_evaluate(*args))
+        cfg = base_config(tmp_path, max_steps=30, eval_every=10)
+        assert run(cfg, "train_eval").status == 0
+        assert evaluated == [9, 19, 29]
+        assert built.count("eval") == 1
+
     def test_eval_requires_checkpoint(self, tmp_path):
         cfg = base_config(tmp_path)
         with pytest.raises(CheckpointError):
@@ -418,6 +441,61 @@ class TestCli:
         from miniseq.cli import main
         assert main(["--config_file", str(cfg_path), "--mode", "eval"]) == 1
 
+
+
+def _free_ports(n):
+    socks = [socket.socket() for _ in range(n)]
+    for s in socks:
+        s.bind(("127.0.0.1", 0))
+    ports = [s.getsockname()[1] for s in socks]
+    for s in socks:
+        s.close()
+    return ports
+
+
+def test_tcp_launch_stops_the_group_and_names_a_killed_rank(tmp_path, monkeypatch, capfd):
+    """Kill rank 1 of a 3-process TCP run mid-training: the launcher must stop
+    ranks 0 and 2 and return non-zero within seconds, naming rank 1."""
+    cfg = base_config(tmp_path, max_steps=1_000_000, eval_every=0, num_workers=3,
+                      use_allreduce=True, transport="tcp",
+                      worker_addresses=[f"127.0.0.1:{p}" for p in _free_ports(3)])
+    cfg_path = tmp_path / "tcp.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, cmd, **kw):
+            if cmd[cmd.index("--worker_rank") + 1] == "0":
+                kw["stdout"] = subprocess.PIPE  # rank 0 prints one line per step
+            super().__init__(cmd, **kw)
+            procs.append(self)
+
+    monkeypatch.setattr(runner.subprocess, "Popen", Recorded)
+    killed_at = []
+
+    def kill_rank_1_after_step_3():
+        deadline = time.monotonic() + 120
+        while len(procs) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with procs[0].stdout as rank0_out:
+            for line in rank0_out:
+                if line.startswith(b"step 3 "):
+                    procs[1].kill()
+                    killed_at.append(time.monotonic())
+                    break
+            rank0_out.read()  # drain until rank 0 exits
+
+    killer = threading.Thread(target=kill_rank_1_after_step_3, daemon=True)
+    killer.start()
+    result = run(cfg, "train", config_path=str(cfg_path), cli_overrides=["--enable_logs"])
+    returned_at = time.monotonic()
+    killer.join(timeout=10)
+    assert killed_at, "rank 0 never reached step 3"
+    assert returned_at - killed_at[0] < 10.0
+    assert result.status != 0
+    assert result.summary["failed_rank"] == 1
+    assert all(p.poll() is not None for p in procs)
+    assert "worker rank 1 exited" in capfd.readouterr().err
 
 
 EXAMPLE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "example_configs")
