@@ -7,12 +7,13 @@ op and its internals stay FP32 so that the loss-scale multiply cannot
 itself overflow. Under "float32" everything is FP32.
 
 Each node widens its value to FP32 at most once per tape (Node.f32), and
-every op that reads the node shares that array. Gradient fan-in accumulates
-in FP32 too: each op rounds its own input gradients into the input dtype,
-and when a node receives more than one, the contributions are summed in
-FP32, in the order backward() meets them, and the sum is rounded into the
-node's dtype once, when the op that produced the node consumes it or when
-it becomes a variable's gradient.
+every op that reads the node shares that array. Backward rounds each node's
+gradient once: every op returns its input gradients unrounded, in FP32 (an
+op that passes its output gradient through hands on the tensor it received),
+and backward() rounds a node's gradient into the node's dtype when the op
+that produced the node consumes it, or when it becomes a variable's
+gradient. When a node receives more than one contribution, they are summed
+in FP32, in the order backward() meets them, before that one rounding.
 
 The backward seed is where loss scaling enters: seeding with S instead of 1
 multiplies every gradient by S before it is rounded into the gradient dtype.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DType, ShapeError, Tensor, store
+from .tensor import DType, ShapeError, Tensor, cast, store
 
 MODES = ("float32", "mixed")
 
@@ -30,6 +31,11 @@ MODES = ("float32", "mixed")
 # than a Tape method, so backward closures never reference their tape: a
 # closure holding ``self`` would put every tape in a reference cycle that only
 # the garbage collector can free.
+
+
+def _unrounded(g32: np.ndarray) -> Tensor:
+    """An op's input gradient: FP32 until backward() rounds it, once."""
+    return Tensor(g32, DType.F32)
 
 
 class Variable:
@@ -129,9 +135,7 @@ class Tape:
 
         def backward(g: Tensor):
             g32 = g.f32()
-            da = store(g32 @ b32.T, a.value.dtype)
-            db = store(a32.T @ g32, b.value.dtype)
-            return [da, db]
+            return [_unrounded(g32 @ b32.T), _unrounded(a32.T @ g32)]
 
         return self._emit("matmul", [a, b], out, backward)
 
@@ -152,9 +156,7 @@ class Tape:
 
         def backward(g: Tensor):
             g32 = g.f32()
-            db = store(g32.reshape(-1, g32.shape[-1]).sum(axis=0, dtype=np.float32),
-                       b.value.dtype)
-            return [g, db]
+            return [g, _unrounded(g32.reshape(-1, g32.shape[-1]).sum(axis=0, dtype=np.float32))]
 
         return self._emit("bias_add", [x, b], out, backward)
 
@@ -166,8 +168,7 @@ class Tape:
 
         def backward(g: Tensor):
             g32 = g.f32()
-            return [store(g32 * b32, a.value.dtype),
-                    store(g32 * a32, b.value.dtype)]
+            return [_unrounded(g32 * b32), _unrounded(g32 * a32)]
 
         return self._emit("mul", [a, b], out, backward)
 
@@ -176,7 +177,7 @@ class Tape:
         out = store(x.f32() * c32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [store(g.f32() * c32, x.value.dtype)]
+            return [_unrounded(g.f32() * c32)]
 
         return self._emit("scale", [x], out, backward)
 
@@ -185,7 +186,7 @@ class Tape:
         out = store(y32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [store(g.f32() * (1.0 - y32 * y32), x.value.dtype)]
+            return [_unrounded(g.f32() * (1.0 - y32 * y32))]
 
         return self._emit("tanh", [x], out, backward)
 
@@ -194,7 +195,7 @@ class Tape:
         out = store(y32, self.model_dtype)
 
         def backward(g: Tensor):
-            return [store(g.f32() * y32 * (1.0 - y32), x.value.dtype)]
+            return [_unrounded(g.f32() * y32 * (1.0 - y32))]
 
         return self._emit("sigmoid", [x], out, backward)
 
@@ -204,7 +205,7 @@ class Tape:
         pos = x32 > 0
 
         def backward(g: Tensor):
-            return [store(g.f32() * pos, x.value.dtype)]
+            return [_unrounded(g.f32() * pos)]
 
         return self._emit("relu", [x], out, backward)
 
@@ -217,7 +218,7 @@ class Tape:
         def backward(g: Tensor):
             acc = np.zeros(table.value.shape, dtype=np.float32)
             np.add.at(acc, ids.reshape(-1), g.f32().reshape(-1, table.value.shape[1]))
-            return [store(acc, table.value.dtype)]
+            return [_unrounded(acc)]
 
         return self._emit("embedding_gather", [table], out, backward)
 
@@ -253,9 +254,8 @@ class Tape:
 
         def backward(g: Tensor):
             g32 = g.f32()
-            dq = store(np.einsum("bt,bth->bh", g32, s32), query.value.dtype)
-            ds = store(np.einsum("bt,bh->bth", g32, q32), states.value.dtype)
-            return [dq, ds]
+            return [_unrounded(np.einsum("bt,bth->bh", g32, s32)),
+                    _unrounded(np.einsum("bt,bh->bth", g32, q32))]
 
         return self._emit("attn_scores", [query, states], out, backward)
 
@@ -275,7 +275,7 @@ class Tape:
         def backward(g: Tensor):
             g32 = g.f32()
             dot = np.sum(g32 * w32, axis=-1, keepdims=True, dtype=np.float32)
-            return [store((g32 - dot) * w32, scores.value.dtype)]
+            return [_unrounded((g32 - dot) * w32)]
 
         return self._emit("attn_weights", [scores], out, backward)
 
@@ -286,9 +286,8 @@ class Tape:
 
         def backward(g: Tensor):
             g32 = g.f32()
-            dw = store(np.einsum("bh,bth->bt", g32, s32), weights.value.dtype)
-            ds = store(np.einsum("bt,bh->bth", w32, g32), states.value.dtype)
-            return [dw, ds]
+            return [_unrounded(np.einsum("bh,bth->bt", g32, s32)),
+                    _unrounded(np.einsum("bt,bh->bth", w32, g32))]
 
         return self._emit("attn_context", [weights, states], out, backward)
 
@@ -321,7 +320,7 @@ class Tape:
             d = probs.copy()
             d[b_idx, t_idx, targets] -= 1.0
             d *= (m * (seed / np.float32(n_valid)))[..., None]
-            return [store(d, logits.value.dtype)]
+            return [_unrounded(d)]
 
         return self._emit("softmax_cross_entropy", [logits], out, backward, is_loss=True)
 
@@ -332,8 +331,7 @@ class Tape:
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [store(np.full(x.value.shape, seed / np.float32(n), dtype=np.float32),
-                          x.value.dtype)]
+            return [_unrounded(np.full(x.value.shape, seed / np.float32(n), dtype=np.float32))]
 
         return self._emit("reduce_mean", [x], out, backward, is_loss=True)
 
@@ -343,7 +341,7 @@ class Tape:
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [store(np.full(x.value.shape, seed, dtype=np.float32), x.value.dtype)]
+            return [_unrounded(np.full(x.value.shape, seed, dtype=np.float32))]
 
         return self._emit("reduce_sum", [x], out, backward, is_loss=True)
 
@@ -382,7 +380,8 @@ def backward(tape: Tape, loss_seed: float = 1.0, loss: Node | None = None) -> di
         acc = sums.pop(id(node), None)
         if acc is not None:
             return store(acc, node.value.dtype)
-        return grads.pop(id(node), None)
+        g = grads.pop(id(node), None)
+        return None if g is None else cast(g, node.value.dtype)
 
     result: dict[str, Tensor] = {}
     with np.errstate(over="ignore", invalid="ignore"):

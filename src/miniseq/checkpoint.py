@@ -50,8 +50,12 @@ def checkpoint_exists(directory: str) -> bool:
             and os.path.isfile(os.path.join(directory, MANIFEST_FILE)))
 
 
-def load_checkpoint(directory: str, replica: Replica) -> dict:
-    """Restore a replica in place; returns the manifest."""
+def load_checkpoint(directory: str, *replicas: Replica) -> dict:
+    """Restore replicas in place from one read of the checkpoint; returns the manifest.
+
+    The replicas share the decoded tensors, which nothing mutates, but each
+    gets its own optimizer slot arrays, which the optimizer updates in place.
+    """
     if not checkpoint_exists(directory):
         raise CheckpointError(f"no checkpoint at {directory!r}")
     with open(os.path.join(directory, MANIFEST_FILE), encoding="utf-8") as f:
@@ -60,6 +64,12 @@ def load_checkpoint(directory: str, replica: Replica) -> dict:
     with open(os.path.join(directory, WEIGHTS_FILE), "rb") as f:
         while (record := read_named_tensor(f)) is not None:
             tensors[record[0]] = record[1]
+    for replica in replicas:
+        _restore(replica, manifest, tensors)
+    return manifest
+
+
+def _restore(replica: Replica, manifest: dict, tensors: dict[str, Tensor]) -> None:
     for name, var in replica.model.variables.items():
         key = f"var:{name}"
         if key not in tensors:
@@ -82,4 +92,3 @@ def load_checkpoint(directory: str, replica: Replica) -> dict:
             replica.optimizer.slots.setdefault(var_name, {})[slot_name] = t.f32().copy()
     replica.optimizer.t = int(manifest["optimizer_t"])
     replica.state.scale_state.load_dict(manifest["loss_scale_state"])
-    return manifest

@@ -143,9 +143,7 @@ def _resume(config: Config, replicas: list[Replica]) -> int:
     """The step to start at, after loading any checkpoint into every replica."""
     if not checkpoint_exists(config.checkpoint_dir):
         return 0
-    for r in replicas:
-        manifest = load_checkpoint(config.checkpoint_dir, r)
-    return int(manifest["step"])
+    return int(load_checkpoint(config.checkpoint_dir, *replicas)["step"])
 
 
 def _finish(config: Config, mode: str, rank0: Replica, log: MetricsLog,

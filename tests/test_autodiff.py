@@ -395,9 +395,10 @@ class TestFanIn:
             x, consts, seed = rng.uniform(-1, 1, size=6), list(rng.uniform(-3, 3, size=3)), 1000.0
         g = fan_in("mixed", DType.F16, x, consts, seed, through_op)
         assert g.dtype is DType.F16
-        # reduce_sum rounds the seed to F16, each scale rounds its product
+        # y's gradient, the seed, is rounded to F16 when the sum consumes it;
+        # the scale products stay FP32 and only their sum is rounded
         g_out = hf.widen(hf.narrow(np.full(len(x), seed, dtype=np.float32)))
-        parts = [hf.widen(hf.narrow(g_out * np.float32(c))) for c in reversed(consts)]
+        parts = [g_out * np.float32(c) for c in reversed(consts)]
         acc = parts[0] + parts[1]
         acc += parts[2]
         assert np.array_equal(hf.np16_to_bits(g.data), hf.narrow(acc))
@@ -409,6 +410,13 @@ class TestFanIn:
         g = fan_in("mixed", DType.F16, [2.0 ** -14], [-40000.0, 40000.0, 40000.0], 1.0,
                    through_op)
         assert g.f32()[0] == 40000.0
+
+    @pytest.mark.parametrize("through_op", [False, True])
+    def test_mixed_sum_of_f16_overflowing_contributions_is_finite(self, through_op):
+        # met in the order -70000, 100000: each contribution alone would round
+        # to an F16 inf, their FP32 sum 30000 is exact in F16
+        g = fan_in("mixed", DType.F16, [0.5], [100.0, -70.0], 1000.0, through_op)
+        assert g.f32()[0] == 30000.0
 
     def test_fp32_sum_is_left_to_right(self):
         rng = np.random.default_rng(4)
@@ -445,6 +453,47 @@ class TestFanIn:
             for through_op in (False, True):
                 g = fan_in("mixed", DType.F16, [0.5], [1.0, -1.0], 2.0 ** 16, through_op)
                 assert np.isnan(g.f32()).all()
+
+
+class TestRoundingPoints:
+    def test_single_consumer_chain_rounds_once_per_op(self):
+        rng = np.random.default_rng(5)
+        x_arr, c, seed = rng.uniform(-2, 2, size=7), 0.7, 300.0
+        tape = Tape("mixed")
+        x = tape.leaf(var("x", x_arr, DType.F16))
+        tape.reduce_sum(tape.tanh(tape.scale(x, c)))
+        g = backward(tape, seed)["x"]
+        # forward: each op rounds its FP32 result to F16
+        c32 = np.float32(c)
+        y = hf.widen(hf.narrow(hf.widen(hf.narrow(x_arr.astype(np.float32))) * c32))
+        t = np.tanh(y)
+        # backward: each op's input gradient rounded to F16 once
+        g_t = hf.widen(hf.narrow(np.full(7, seed, dtype=np.float32)))
+        g_y = hf.widen(hf.narrow(g_t * (1.0 - t * t)))
+        g_x = hf.narrow(g_y * c32)
+        assert g.dtype is DType.F16
+        assert np.array_equal(hf.np16_to_bits(g.data), g_x)
+
+    def test_mixed_model_backward_narrows_each_node_at_most_once(self, monkeypatch):
+        from miniseq.blocks import CopyTask, ModelSpec, Seq2SeqModel
+
+        spec = ModelSpec(encoder_params={"layers": 1, "hidden": 8, "emb_size": 6},
+                         decoder_params={"hidden": 8, "emb_size": 6}, dtype="mixed")
+        model = Seq2SeqModel(spec, vocab_size=16, seed=0)
+        loss, tape = model.forward(CopyTask(vocab_size=16, seq_len=5, seed=0).batch(0, 3))
+        # the nodes that get a gradient: the loss's ancestors, F16 ones rounded
+        reached = {id(loss)}
+        for op in reversed(tape.ops):
+            if id(op.output) in reached:
+                reached.update(id(n) for n in op.inputs)
+        f16_nodes = {id(n) for op in tape.ops for n in [op.output, *op.inputs]
+                     if id(n) in reached and n.value.dtype is DType.F16}
+        calls = []
+        narrow_host = hf.narrow_host
+        monkeypatch.setattr(hf, "narrow_host", lambda a: calls.append(a) or narrow_host(a))
+        grads = backward(tape, 1024.0, loss=loss)
+        assert set(grads) == set(model.variables)
+        assert 0 < len(calls) <= len(f16_nodes)
 
 
 class TestNodeF32:

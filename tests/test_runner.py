@@ -292,11 +292,50 @@ class TestCheckpoint:
     def test_resume_keeps_metrics_history(self, tmp_path):
         for steps in (5, 10):
             result = run(base_config(tmp_path, max_steps=steps, eval_every=5), "train_eval")
-        lines = open(result.artifacts["metrics_csv"], encoding="utf-8").read().splitlines()
+        with open(result.artifacts["metrics_csv"], encoding="utf-8") as f:
+            lines = f.read().splitlines()
         assert lines[0] == CSV_HEADER and CSV_HEADER not in lines[1:]
         fields = [line.split(",") for line in lines[1:]]
         assert [int(f[0]) for f in fields if f[2] == "train"] == list(range(10))
         assert [int(f[0]) for f in fields if f[-2] == "token_accuracy"] == [4, 9]
+
+    def test_k4_resume_reads_weights_once_and_matches_an_unbroken_run(self, tmp_path,
+                                                                      monkeypatch):
+        from miniseq import checkpoint
+        from miniseq.distrib import WorkerGroup
+        from miniseq.runner import _resume
+
+        def digests_after(cfg, steps):
+            replicas = [build_replica(cfg, r, 4) for r in range(4)]
+            start = _resume(cfg, replicas)
+            group = WorkerGroup(replicas, mode="allreduce")
+            try:
+                for step in range(start, steps):
+                    group.run_step(step)
+                return group.parameter_digests()
+            finally:
+                group.close()
+
+        def config(directory, steps):
+            return base_config(tmp_path, dtype="mixed", loss_scaling="Backoff", num_workers=4,
+                               use_allreduce=True, batch_size_per_gpu=2, max_steps=steps,
+                               checkpoint_dir=str(tmp_path / directory))
+
+        unbroken = digests_after(config("a", 6), 6)
+        run(config("b", 3), "train")
+        decodes = []
+        read = checkpoint.read_named_tensor
+
+        def counting_read(f):
+            record = read(f)
+            if record is None:
+                decodes.append(f.name)
+            return record
+
+        monkeypatch.setattr(checkpoint, "read_named_tensor", counting_read)
+        resumed = digests_after(config("b", 6), 6)
+        assert len(decodes) == 1
+        assert resumed == unbroken
 
 
 class TestRunModes:
@@ -304,7 +343,8 @@ class TestRunModes:
         cfg = base_config(tmp_path, max_steps=12)
         result = run(cfg, "train")
         assert result.status == 0
-        lines = open(result.artifacts["metrics_csv"], encoding="utf-8").read().splitlines()
+        with open(result.artifacts["metrics_csv"], encoding="utf-8") as f:
+            lines = f.read().splitlines()
         train_rows = [l for l in lines[1:] if l.split(",")[2] == "train"]
         assert len(train_rows) == 12
         assert os.path.exists(os.path.join(cfg.checkpoint_dir, "weights.bin"))
@@ -312,7 +352,8 @@ class TestRunModes:
     def test_train_eval_row_groups(self, tmp_path):
         cfg = base_config(tmp_path, max_steps=30, eval_every=10)
         result = run(cfg, "train_eval")
-        lines = open(result.artifacts["metrics_csv"], encoding="utf-8").read().splitlines()
+        with open(result.artifacts["metrics_csv"], encoding="utf-8") as f:
+            lines = f.read().splitlines()
         eval_acc_rows = [l for l in lines[1:]
                          if l.split(",")[2] == "eval" and "token_accuracy" in l]
         assert len(eval_acc_rows) == 3
@@ -398,7 +439,8 @@ class TestRunModes:
             max_steps=8, batch_size_per_gpu=4)
         result = run(cfg, "train")
         assert result.status == 0
-        rows = open(result.artifacts["metrics_csv"], encoding="utf-8").read().splitlines()[1:]
+        with open(result.artifacts["metrics_csv"], encoding="utf-8") as f:
+            rows = f.read().splitlines()[1:]
         # batch 4 over a 4-line corpus: the epoch column advances every step
         assert rows[0].split(",")[1] == "1"
         assert rows[-1].split(",")[1] == "8"
