@@ -53,11 +53,10 @@ class Variable:
 
 
 class Node:
-    __slots__ = ("value", "var_name", "_f32")
+    __slots__ = ("value", "_f32")
 
-    def __init__(self, value: Tensor, var_name: str | None = None):
+    def __init__(self, value: Tensor):
         self.value = value
-        self.var_name = var_name
         self._f32 = None
 
     def f32(self) -> np.ndarray:
@@ -108,7 +107,7 @@ class Tape:
             raise ValueError(f"duplicate variable name {var.name!r}")
         self.variables[var.name] = var
         if var.name not in self._leaves:
-            self._leaves[var.name] = Node(var.value, var_name=var.name)
+            self._leaves[var.name] = Node(var.value)
         return self._leaves[var.name]
 
     def constant(self, t: Tensor) -> Node:

@@ -1,10 +1,10 @@
 """Composable seq2seq building blocks and synthetic tasks.
 
 The contract between parts is small: a DataLayer yields Batches, an Encoder
-turns a Batch into a Representation (states [batch, time, hidden] plus valid
-lengths), a Decoder turns a Representation back into per-token logits, and a
-Loss reduces logits to a scalar. Any registered encoder composes with any
-registered decoder through Representation.
+turns a Batch into a Representation (states [batch, time, hidden] plus the
+source mask), a Decoder turns a Representation back into per-token logits,
+and a Loss reduces logits to a scalar. Any registered encoder composes with
+any registered decoder through Representation.
 
 Synthetic tasks (copy, reverse) are seeded and indexable: token t of
 example i is a counter-based hash of (seed, split, i, t) (SplitMix64's
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Node, Tape, Variable
+from .autodiff import MODES, Node, Tape, Variable
 from .tensor import DType, Tensor
 
 PAD_ID = 0
@@ -90,7 +90,6 @@ class Batch:
 @dataclass
 class Representation:
     states: Node                # [b, time, hidden] tape node
-    lengths: np.ndarray         # [b] valid source lengths
     mask: np.ndarray            # [b, time] float32
 
 
@@ -303,7 +302,7 @@ class RNNEncoder:
                 outs.append(h)
             steps = outs
         states = tape.stack_steps(steps)
-        return Representation(states, batch.source_lengths, batch.source_mask)
+        return Representation(states, batch.source_mask)
 
 
 class AttentionDecoder:
@@ -377,7 +376,6 @@ class ModelSpec:
     decoder: str = "attention_rnn"
     decoder_params: dict = field(default_factory=dict)
     loss: str = "basic_sequence"
-    loss_params: dict = field(default_factory=dict)
     dtype: str = "float32"
 
     def validate(self):
@@ -387,8 +385,8 @@ class ModelSpec:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.dtype not in ("float32", "mixed"):
-            raise ValueError(f"dtype must be float32 or mixed, got {self.dtype!r}")
+        if self.dtype not in MODES:
+            raise ValueError(f"dtype must be one of {MODES}, got {self.dtype!r}")
 
 
 class Seq2SeqModel:

@@ -12,15 +12,15 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from .autodiff import MODES
 from .blocks import DATA_LAYERS, DECODERS, ENCODERS, LOSSES
+from .optim import LR_POLICY_KINDS, OPTIMIZER_KINDS
 
 
 class ConfigError(ValueError):
     pass
 
 
-_OPTIMIZERS = {"adam": "adam", "sgd": "sgd", "momentum": "momentum"}
-_LR_POLICIES = ("constant", "exp_decay")
 _TRANSPORTS = ("in_process", "tcp")
 RUN_MODES = ("train", "eval", "train_eval", "infer")
 
@@ -45,7 +45,6 @@ class Config:
     decoder: str = "attention_rnn"
     decoder_params: dict = field(default_factory=dict)
     loss: str = "basic_sequence"
-    loss_params: dict = field(default_factory=dict)
     data_layer: str = "copy_task"
     data_layer_params: dict = field(default_factory=dict)
     regularizers: list = field(default_factory=list)
@@ -61,16 +60,16 @@ class Config:
             raise ConfigError("batch_size_per_gpu must be >= 1")
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
-        if self.dtype not in ("float32", "mixed"):
-            raise ConfigError(f"dtype must be 'float32' or 'mixed', got {self.dtype!r}")
+        if self.dtype not in MODES:
+            raise ConfigError(f"dtype must be one of {MODES}, got {self.dtype!r}")
         if self.loss_scale is not None and self.loss_scaling is not None:
             raise ConfigError("'loss_scale' (static) and 'loss_scaling' (dynamic) are "
                               "mutually exclusive")
         if self.loss_scaling is not None and self.loss_scaling.lower() not in ("backoff", "logmax"):
             raise ConfigError(f"unknown loss_scaling {self.loss_scaling!r}")
-        if self.optimizer.lower() not in _OPTIMIZERS:
+        if self.optimizer_kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr_policy not in _LR_POLICIES:
+        if self.lr_policy not in LR_POLICY_KINDS:
             raise ConfigError(f"unknown lr_policy {self.lr_policy!r}")
         if self.encoder not in ENCODERS:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
@@ -98,7 +97,7 @@ class Config:
 
     @property
     def optimizer_kind(self) -> str:
-        return _OPTIMIZERS[self.optimizer.lower()]
+        return self.optimizer.lower()
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

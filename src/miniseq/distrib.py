@@ -8,12 +8,12 @@ replicas against one shared parameter store. Both modes average the same
 rank-order sum (rank_order_sum) of the flattened gradients and update
 through the same Replica.apply, so they end with bit-identical weights.
 
-In-process allreduce workers are persistent threads, started once per group,
-and they take turns: a worker computes only while it holds the transport's
-turn and lends it out while it waits for a message, so one thread runs
-Python at a time instead of K threads contending for the GIL. That buys no
-parallelism; one OS process per rank over TcpTransport is the path to
-using more than one core.
+In-process allreduce ranks run on a thread pool that the group creates on
+its first step, and they take turns: a rank computes only while it holds the
+transport's turn, a lock that the rank's recv gives up while it waits for a
+frame, so one thread runs Python at a time instead of K threads contending
+for the GIL. That buys no parallelism; one OS process per rank over
+TcpTransport is the path to using more than one core.
 
 The ring is an allgather: in K-1 exchanges each rank passes the frame it
 received last to the next rank, so every rank ends with all K contributions
@@ -39,8 +39,8 @@ import socket
 import struct
 import threading
 import time
-import weakref
-from contextlib import contextmanager
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -104,89 +104,57 @@ def parse_chunk(payload) -> tuple[int, int, DType, np.ndarray]:
 
 
 class InProcessTransport:
-    """One FIFO queue per ring edge (rank r to rank r+1), shared by worker threads.
+    """One FIFO per ring edge (rank r to rank r+1), shared by worker threads.
 
     Like TcpTransport, it carries ring-neighbor traffic only. The transport
-    also carries a turn: a lock that at most one worker holds while it
-    computes. A turn holder that blocks in ``recv`` on an empty queue gives
-    the turn up for the wait and takes it back before it returns. Threads
-    that never take the turn are not affected by it.
+    also carries a turn: a re-entrant lock that a worker holds while it
+    computes, so that one worker runs at a time. send and recv take the turn
+    for their own work; recv waits on its edge's condition, which gives the
+    turn up for the wait and takes it back before recv returns. abort wakes
+    every waiting recv at once.
     """
-
-    kind = "in_process"
 
     def __init__(self, num_workers: int, timeout: float = 60.0):
         self.num_workers = num_workers
         self.timeout = timeout
-        self._queues = {(r, (r + 1) % num_workers): queue.Queue() for r in range(num_workers)}
-        self._abort = threading.Event()
-        self._turn = threading.Lock()
-        self._turn_holder = None
+        self.aborted = False
+        self._turn = threading.RLock()
+        self._edges = {(r, (r + 1) % num_workers): (deque(), threading.Condition(self._turn))
+                       for r in range(num_workers)}
+
+    def turn(self) -> threading.RLock:
+        """The lock a worker holds while it computes."""
+        return self._turn
 
     def abort(self):
-        self._abort.set()
+        with self._turn:
+            self.aborted = True
+            for _, ready in self._edges.values():
+                ready.notify_all()
 
-    @property
-    def aborted(self) -> bool:
-        return self._abort.is_set()
-
-    @contextmanager
-    def turn(self):
-        """Hold the turn for the body (lent out only while ``recv`` waits)."""
-        self._take_turn()
-        try:
-            yield
-        finally:
-            self._give_turn()
-
-    def _take_turn(self):
-        self._turn.acquire()
-        self._turn_holder = threading.get_ident()
-
-    def _give_turn(self):
-        self._turn_holder = None
-        self._turn.release()
-
-    def _edge(self, src: int, dst: int) -> queue.Queue:
-        q = self._queues.get((src, dst))
-        if q is None:
+    def _edge(self, src: int, dst: int) -> tuple[deque, threading.Condition]:
+        edge = self._edges.get((src, dst))
+        if edge is None:
             raise TransportError(
                 f"in-process transport only carries ring-neighbor traffic, not {src}->{dst}")
-        return q
+        return edge
 
     def send(self, src: int, dst: int, message: bytes) -> None:
-        q = self._edge(src, dst)
-        if self._abort.is_set():
-            raise GroupAborted()
-        q.put(message)
+        frames, ready = self._edge(src, dst)
+        with self._turn:
+            if self.aborted:
+                raise GroupAborted()
+            frames.append(message)
+            ready.notify()
 
     def recv(self, src: int, dst: int) -> bytes:
-        deadline = time.monotonic() + self.timeout
-        q = self._edge(src, dst)
-        if self._abort.is_set():
-            raise GroupAborted()
-        try:
-            return q.get_nowait()
-        except queue.Empty:
-            pass
-        lends_turn = self._turn_holder == threading.get_ident()
-        if lends_turn:
-            self._give_turn()
-        try:
-            while True:
-                if self._abort.is_set():
-                    raise GroupAborted()
-                try:
-                    return q.get(timeout=0.05)
-                except queue.Empty:
-                    if time.monotonic() > deadline:
-                        raise TransportError(f"recv timeout on edge {src}->{dst}") from None
-        finally:
-            if lends_turn:
-                self._take_turn()
-
-    def close(self):
-        pass
+        frames, ready = self._edge(src, dst)
+        with self._turn:
+            if not ready.wait_for(lambda: frames or self.aborted, self.timeout):
+                raise TransportError(f"recv timeout on edge {src}->{dst}")
+            if self.aborted:
+                raise GroupAborted()
+            return frames.popleft()
 
 
 class TcpTransport:
@@ -202,8 +170,6 @@ class TcpTransport:
     would wait in sendall for a peer that is itself waiting in sendall.
     close() lets the writer finish what is queued; abort() does not.
     """
-
-    kind = "tcp"
 
     def __init__(self, rank: int, addresses: list[str], timeout: float = 60.0):
         self.rank = rank
@@ -551,71 +517,45 @@ def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
                        tokens, time.perf_counter() - t0)
 
 
-def _pool_worker(rank: int, replica: Replica, transport: InProcessTransport,
-                 num_workers: int, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue):
-    """Persistent allreduce worker: one step per step number received, until None.
+def _rank_step(replica: Replica, transport: InProcessTransport, rank: int,
+               num_workers: int, step: int) -> StepMetrics:
+    """One rank's allreduce step on a pool thread, computed while it holds the turn.
 
-    Puts ``(rank, StepMetrics | exception)`` on ``outbox`` after every step; a
-    failure aborts the transport so that the other ranks stop waiting.
+    A failure aborts the transport so that the other ranks stop waiting.
     """
-    while (step := inbox.get()) is not None:
+    with transport.turn():
         try:
-            with transport.turn():
-                result = distributed_train_step(replica, transport, rank, num_workers, step)
-        except Exception as e:  # noqa: BLE001 - reported to the group, which aborts
+            return distributed_train_step(replica, transport, rank, num_workers, step)
+        except BaseException:
             transport.abort()
-            result = e
-        outbox.put((rank, result))
-
-
-def _stop_pool(inboxes: list[queue.SimpleQueue], threads: list[threading.Thread]):
-    for inbox in inboxes:
-        inbox.put(None)
-    for t in threads:
-        if t is not threading.current_thread():
-            t.join()
+            raise
 
 
 class WorkerGroup:
     """K replicas stepping in lockstep inside one process.
 
-    mode "allreduce" with K > 1 steps K persistent worker threads, started on
-    the first step, that take turns on the in-process transport (see
-    InProcessTransport) and meet in the ring collectives; close() stops them,
-    and so does dropping the group. mode "tower" steps all replicas
-    sequentially against a shared store.
+    mode "allreduce" with K > 1 runs each step's K ranks on a pool of K
+    threads, created on the first step, that take turns on the in-process
+    transport (see InProcessTransport) and meet in the ring collectives.
+    close() stops the threads, and so does dropping the group: a pool thread
+    runs the module-level _rank_step and holds no reference to the group.
+    mode "tower" steps all replicas sequentially against a shared store.
     """
 
-    def __init__(self, replicas: list[Replica], mode: str = "allreduce",
-                 transport: InProcessTransport | None = None):
+    def __init__(self, replicas: list[Replica], mode: str = "allreduce"):
         if mode not in ("allreduce", "tower"):
             raise ValueError(f"unknown group mode {mode!r}")
         self.replicas = replicas
         self.mode = mode
         self.num_workers = len(replicas)
-        self.transport = transport or InProcessTransport(self.num_workers)
-        self._inboxes: list[queue.SimpleQueue] = []
-        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._stop = None
-
-    def _start_workers(self):
-        self._inboxes = [queue.SimpleQueue() for _ in range(self.num_workers)]
-        threads = [threading.Thread(target=_pool_worker, name=f"miniseq-rank-{rank}",
-                                    args=(rank, replica, self.transport, self.num_workers,
-                                          self._inboxes[rank], self._outbox),
-                                    daemon=True)
-                   for rank, replica in enumerate(self.replicas)]
-        for t in threads:
-            t.start()
-        # the workers hold no reference to the group, so dropping it stops them
-        self._stop = weakref.finalize(self, _stop_pool, self._inboxes, threads)
-        self._stop.atexit = False
+        self.transport = InProcessTransport(self.num_workers)
+        self._pool: ThreadPoolExecutor | None = None
 
     def close(self):
-        """Stop and join the worker threads; a later step starts new ones."""
-        if self._stop is not None:
-            self._stop()
-            self._stop = None
+        """Stop and join the pool's threads; a later step starts new ones."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def run_step(self, step: int) -> StepMetrics:
         """One group step: rank-0 metrics after consensus checks, with the
@@ -626,24 +566,20 @@ class WorkerGroup:
             return distributed_train_step(self.replicas[0], self.transport, 0, 1, step)
         if self.transport.aborted:
             raise TransportError(f"step {step}: the group was aborted by an earlier failure")
-        if self._stop is None:
-            self._start_workers()
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.num_workers, thread_name_prefix="miniseq-worker")
         t0 = time.perf_counter()
-        for inbox in self._inboxes:
-            inbox.put(step)
-        results: list[StepMetrics | None] = [None] * self.num_workers
-        failures: list[tuple[int, Exception]] = []
-        for _ in range(self.num_workers):
-            rank, out = self._outbox.get()
-            if isinstance(out, Exception):
-                failures.append((rank, out))
-            else:
-                results[rank] = out
+        futures = [self._pool.submit(_rank_step, replica, self.transport, rank,
+                                     self.num_workers, step)
+                   for rank, replica in enumerate(self.replicas)]
+        errors = [f.exception() for f in futures]  # waits for every rank
+        failures = [(rank, e) for rank, e in enumerate(errors) if e is not None]
         if failures:
             # the cause, not a rank that only saw the abort it triggered
             rank, err = next(((r, e) for r, e in failures if not isinstance(e, GroupAborted)),
                              failures[0])
             raise TransportError(f"rank {rank} failed at step {step}: {err}") from err
+        results = [f.result() for f in futures]
         applied = {m.applied for m in results}
         if len(applied) != 1:
             raise RuntimeError("flag consensus violated: mixed applied/skipped outcomes")

@@ -3,8 +3,8 @@
 A run is described by a Config; this module builds the worker group, drives
 the step loop, logs metrics, and handles checkpoints. With the TCP transport
 the runner launches one OS process per worker (each re-reads the config and
-joins the ring); with the in-process transport workers are persistent threads
-that take turns (see distrib.WorkerGroup).
+joins the ring); with the in-process transport the ranks run on a thread pool
+and take turns (see distrib.WorkerGroup).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def build_replica(config: Config, rank: int, num_workers: int) -> Replica:
     spec = ModelSpec(
         encoder=config.encoder, encoder_params=dict(config.encoder_params),
         decoder=config.decoder, decoder_params=dict(config.decoder_params),
-        loss=config.loss, loss_params=dict(config.loss_params),
+        loss=config.loss,
         dtype=config.dtype,
     )
     data = DATA_LAYERS[config.data_layer](**config.data_layer_params)

@@ -13,6 +13,7 @@ from miniseq.config import parse_config
 from miniseq.distrib import (
     TAG_FLAG,
     TAG_TENSOR_CHUNK,
+    GroupAborted,
     InProcessTransport,
     Replica,
     ReduceBucket,
@@ -338,31 +339,26 @@ class TestWorkerGroups:
 class TestTurn:
     def test_recv_lends_the_turn_while_it_waits(self):
         tr = InProcessTransport(2, timeout=5.0)
+        taken = []
 
         def rank1():
             with tr.turn():  # blocks forever if rank 0 keeps the turn while it waits
                 tr.send(1, 0, b"x")
 
+        def try_turn():
+            taken.append(tr.turn().acquire(timeout=0.1))
+
         with tr.turn():
             t = threading.Thread(target=rank1)
             t.start()
             assert tr.recv(1, 0) == b"x"
-            assert tr._turn_holder == threading.get_ident()  # taken back before return
+            probe = threading.Thread(target=try_turn)  # taken back before return
+            probe.start()
+            probe.join(timeout=10.0)
+            assert not probe.is_alive()
+            assert taken == [False]
         t.join(timeout=10.0)
         assert not t.is_alive()
-
-    def test_thread_without_turn_ignores_it(self):
-        tr = InProcessTransport(2, timeout=5.0)
-        out = []
-        with tr.turn():
-            t = threading.Thread(target=lambda: out.append(tr.recv(0, 1)))
-            t.start()
-            time.sleep(0.1)  # the receiver blocks on its empty queue meanwhile
-            tr.send(0, 1, b"y")
-            t.join(timeout=10.0)
-            assert tr._turn_holder == threading.get_ident()
-        assert not t.is_alive()
-        assert out == [b"y"]
 
 
 class TestInProcessTransport:
@@ -375,6 +371,27 @@ class TestInProcessTransport:
                 tr.recv(src, dst)
         tr.send(2, 0, b"y")
         assert tr.recv(2, 0) == b"y"
+
+    def test_abort_wakes_a_waiting_recv(self):
+        tr = InProcessTransport(2, timeout=60.0)
+        out = []
+
+        def receive():
+            try:
+                tr.recv(0, 1)
+            except GroupAborted:
+                out.append(time.perf_counter())
+
+        t = threading.Thread(target=receive)
+        t.start()
+        time.sleep(0.2)  # the receiver is waiting on its empty edge meanwhile
+        t0 = time.perf_counter()
+        tr.abort()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert len(out) == 1 and out[0] - t0 < 1.0
+        with pytest.raises(GroupAborted):
+            tr.send(0, 1, b"z")
 
 
 class TestSingleCopyFp32:
@@ -411,6 +428,17 @@ class TestWorkerPool:
             counts.append(threading.active_count())
         group.close()
         assert counts == [start + 4] * 20
+        assert threading.active_count() == start
+
+    def test_dropping_the_group_stops_its_workers(self):
+        start = threading.active_count()
+        group = WorkerGroup([small_replica(r, 4) for r in range(4)], mode="allreduce")
+        group.run_step(0)
+        assert threading.active_count() == start + 4
+        del group
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() != start and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert threading.active_count() == start
 
     def test_runner_stops_its_workers(self, tmp_path):

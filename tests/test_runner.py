@@ -81,6 +81,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config(json.dumps({"optimzer": "adam"}))
 
+    def test_loss_params_rejected(self):
+        # no loss takes parameters, so label smoothing must not be accepted and ignored
+        with pytest.raises(ConfigError, match="loss_params"):
+            parse_config(json.dumps({"loss_params": {"label_smoothing": 0.1}}))
+
     def test_static_and_dynamic_scaling_conflict(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
             parse_config(json.dumps(
