@@ -6,8 +6,10 @@ rounding per op, FP32 accumulation inside matrix products), while the loss
 op and its internals stay FP32 so that the loss-scale multiply cannot
 itself overflow. Under "float32" everything is FP32.
 
-Each node widens its value to FP32 at most once per tape (Node.f32), and
-every op that reads the node shares that array. Backward rounds each node's
+The tape's nodes are the Tensors themselves: an op takes Tensors and
+returns the Tensor it stored, a leaf is its variable's value and a constant
+is the tensor handed in. An F16 tensor widens to FP32 once (Tensor.f32), and
+every op that reads it shares that array. Backward rounds each node's
 gradient once: every op returns its input gradients unrounded, in FP32 (an
 op that passes its output gradient through hands on the tensor it received),
 and backward() rounds a node's gradient into the node's dtype when the op
@@ -52,24 +54,6 @@ class Variable:
         return f"Variable({self.name!r}, shape={self.value.shape}, dtype={self.value.dtype.name})"
 
 
-class Node:
-    __slots__ = ("value", "_f32")
-
-    def __init__(self, value: Tensor):
-        self.value = value
-        self._f32 = None
-
-    def f32(self) -> np.ndarray:
-        """The value widened to FP32, computed on the first call and then shared.
-
-        Ops read it and never write it. It lives as long as the node, so as
-        long as the tape that holds the node.
-        """
-        if self._f32 is None:
-            self._f32 = self.value.f32()
-        return self._f32
-
-
 class _Op:
     __slots__ = ("kind", "inputs", "output", "backward", "is_loss")
 
@@ -90,7 +74,8 @@ class Tape:
         self.mode = mode
         self.ops: list[_Op] = []
         self.variables: dict[str, Variable] = {}
-        self._leaves: dict[str, Node] = {}
+        self._leaves: dict[str, Tensor] = {}
+        self._constants: dict[int, Tensor] = {}
 
     @property
     def model_dtype(self) -> DType:
@@ -98,49 +83,51 @@ class Tape:
 
     def activation_bytes(self) -> int:
         """Bytes held by recorded intermediate tensors (loss scalars excluded)."""
-        return sum(op.output.value.nbytes for op in self.ops if not op.is_loss)
+        return sum(op.output.nbytes for op in self.ops if not op.is_loss)
 
     # -- graph construction --------------------------------------------------
 
-    def leaf(self, var: Variable) -> Node:
-        if var.name in self.variables and self.variables[var.name] is not var:
+    def leaf(self, var: Variable) -> Tensor:
+        """``var.value``, recorded the first time this tape meets ``var``."""
+        if self.variables.setdefault(var.name, var) is not var:
             raise ValueError(f"duplicate variable name {var.name!r}")
-        self.variables[var.name] = var
-        if var.name not in self._leaves:
-            self._leaves[var.name] = Node(var.value)
-        return self._leaves[var.name]
+        return self._leaves.setdefault(var.name, var.value)
 
-    def constant(self, t: Tensor) -> Node:
-        return Node(t)
+    def constant(self, t: Tensor) -> Tensor:
+        """``t``, kept so that ops can tell it needs no gradient."""
+        self._constants[id(t)] = t
+        return t
 
-    def _emit(self, kind, inputs, value: Tensor, backward, is_loss=False) -> Node:
-        out = Node(value)
+    def _emit(self, kind, inputs, out: Tensor, backward, is_loss=False) -> Tensor:
         self.ops.append(_Op(kind, inputs, out, backward, is_loss))
         return out
 
-    def matmul(self, a: Node, b: Node) -> Node:
+    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         """Matrix product with FP32 accumulation; inputs may be F16 or F32.
 
         Both operands are widened to FP32 (exact for F16), the inner-dimension
         sum accumulates in FP32 and is rounded once into the model dtype. The
-        backward reuses the same widened operands.
+        backward reuses the same widened operands, and gives ``None`` as the
+        gradient of a constant operand.
         """
-        if a.value.data.ndim != 2 or b.value.data.ndim != 2:
-            raise ShapeError(f"matmul expects 2-d operands, got {a.value.shape} x {b.value.shape}")
-        if a.value.shape[1] != b.value.shape[0]:
-            raise ShapeError(f"inner dimensions disagree: {a.value.shape} x {b.value.shape}")
+        if a.data.ndim != 2 or b.data.ndim != 2:
+            raise ShapeError(f"matmul expects 2-d operands, got {a.shape} x {b.shape}")
+        if a.shape[1] != b.shape[0]:
+            raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
         a32, b32 = a.f32(), b.f32()
         out = store(np.matmul(a32, b32), self.model_dtype)
+        a_const, b_const = id(a) in self._constants, id(b) in self._constants
 
         def backward(g: Tensor):
             g32 = g.f32()
-            return [_unrounded(g32 @ b32.T), _unrounded(a32.T @ g32)]
+            return [None if a_const else _unrounded(g32 @ b32.T),
+                    None if b_const else _unrounded(a32.T @ g32)]
 
         return self._emit("matmul", [a, b], out, backward)
 
-    def add(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"add: shapes {a.value.shape} vs {b.value.shape}")
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
+        if a.shape != b.shape:
+            raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
         out = store(a.f32() + b.f32(), self.model_dtype)
 
         def backward(g: Tensor):
@@ -148,9 +135,9 @@ class Tape:
 
         return self._emit("add", [a, b], out, backward)
 
-    def bias_add(self, x: Node, b: Node) -> Node:
-        if x.value.shape[-1] != b.value.shape[-1] or b.value.data.ndim != 1:
-            raise ShapeError(f"bias_add: shapes {x.value.shape} vs {b.value.shape}")
+    def bias_add(self, x: Tensor, b: Tensor) -> Tensor:
+        if x.shape[-1] != b.shape[-1] or b.data.ndim != 1:
+            raise ShapeError(f"bias_add: shapes {x.shape} vs {b.shape}")
         out = store(x.f32() + b.f32(), self.model_dtype)
 
         def backward(g: Tensor):
@@ -159,9 +146,9 @@ class Tape:
 
         return self._emit("bias_add", [x, b], out, backward)
 
-    def mul(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"mul: shapes {a.value.shape} vs {b.value.shape}")
+    def mul(self, a: Tensor, b: Tensor) -> Tensor:
+        if a.shape != b.shape:
+            raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
         a32, b32 = a.f32(), b.f32()
         out = store(a32 * b32, self.model_dtype)
 
@@ -171,7 +158,7 @@ class Tape:
 
         return self._emit("mul", [a, b], out, backward)
 
-    def scale(self, x: Node, c: float) -> Node:
+    def scale(self, x: Tensor, c: float) -> Tensor:
         c32 = np.float32(c)
         out = store(x.f32() * c32, self.model_dtype)
 
@@ -180,7 +167,7 @@ class Tape:
 
         return self._emit("scale", [x], out, backward)
 
-    def tanh(self, x: Node) -> Node:
+    def tanh(self, x: Tensor) -> Tensor:
         y32 = np.tanh(x.f32())
         out = store(y32, self.model_dtype)
 
@@ -189,7 +176,7 @@ class Tape:
 
         return self._emit("tanh", [x], out, backward)
 
-    def sigmoid(self, x: Node) -> Node:
+    def sigmoid(self, x: Tensor) -> Tensor:
         y32 = 1.0 / (1.0 + np.exp(-x.f32()))
         out = store(y32, self.model_dtype)
 
@@ -198,7 +185,7 @@ class Tape:
 
         return self._emit("sigmoid", [x], out, backward)
 
-    def relu(self, x: Node) -> Node:
+    def relu(self, x: Tensor) -> Tensor:
         x32 = x.f32()
         out = store(np.maximum(x32, 0.0), self.model_dtype)
         pos = x32 > 0
@@ -208,24 +195,24 @@ class Tape:
 
         return self._emit("relu", [x], out, backward)
 
-    def embedding_gather(self, table: Node, ids: np.ndarray) -> Node:
+    def embedding_gather(self, table: Tensor, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids)
-        if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.value.shape[0]:
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
             raise ShapeError("embedding ids out of range")
-        out = Tensor(table.value.data[ids].copy(), table.value.dtype)
+        out = Tensor(table.data[ids].copy(), table.dtype)
 
         def backward(g: Tensor):
-            acc = np.zeros(table.value.shape, dtype=np.float32)
-            np.add.at(acc, ids.reshape(-1), g.f32().reshape(-1, table.value.shape[1]))
+            acc = np.zeros(table.shape, dtype=np.float32)
+            np.add.at(acc, ids.reshape(-1), g.f32().reshape(-1, table.shape[1]))
             return [_unrounded(acc)]
 
         return self._emit("embedding_gather", [table], out, backward)
 
-    def concat_last_axis(self, a: Node, b: Node) -> Node:
-        if a.value.shape[:-1] != b.value.shape[:-1]:
-            raise ShapeError(f"concat: shapes {a.value.shape} vs {b.value.shape}")
-        out = Tensor(np.concatenate([a.value.data, b.value.data], axis=-1), a.value.dtype)
-        split = a.value.shape[-1]
+    def concat_last_axis(self, a: Tensor, b: Tensor) -> Tensor:
+        if a.shape[:-1] != b.shape[:-1]:
+            raise ShapeError(f"concat: shapes {a.shape} vs {b.shape}")
+        out = Tensor(np.concatenate([a.data, b.data], axis=-1), a.dtype)
+        split = a.shape[-1]
 
         def backward(g: Tensor):
             ga = Tensor(np.ascontiguousarray(g.data[..., :split]), g.dtype)
@@ -234,9 +221,9 @@ class Tape:
 
         return self._emit("concat_last_axis", [a, b], out, backward)
 
-    def stack_steps(self, steps: list[Node]) -> Node:
+    def stack_steps(self, steps: list[Tensor]) -> Tensor:
         """Stack per-step [batch, h] nodes into [batch, time, h]."""
-        out = Tensor(np.stack([s.value.data for s in steps], axis=1), steps[0].value.dtype)
+        out = Tensor(np.stack([s.data for s in steps], axis=1), steps[0].dtype)
 
         def backward(g: Tensor):
             return [Tensor(np.ascontiguousarray(g.data[:, t]), g.dtype)
@@ -244,7 +231,7 @@ class Tape:
 
         return self._emit("stack_steps", list(steps), out, backward)
 
-    def attn_scores(self, query: Node, states: Node) -> Node:
+    def attn_scores(self, query: Tensor, states: Tensor) -> Tensor:
         """Dot-product scores: [b,h] x [b,t,h] -> [b,t], FP32-accumulated."""
         q32, s32 = query.f32(), states.f32()
         if q32.shape[-1] != s32.shape[-1]:
@@ -258,7 +245,7 @@ class Tape:
 
         return self._emit("attn_scores", [query, states], out, backward)
 
-    def attn_weights(self, scores: Node, valid_mask: np.ndarray) -> Node:
+    def attn_weights(self, scores: Tensor, valid_mask: np.ndarray) -> Tensor:
         """Masked softmax over source positions, FP32 math.
 
         Invalid positions get exactly zero weight; valid weights are
@@ -278,7 +265,7 @@ class Tape:
 
         return self._emit("attn_weights", [scores], out, backward)
 
-    def attn_context(self, weights: Node, states: Node) -> Node:
+    def attn_context(self, weights: Tensor, states: Tensor) -> Tensor:
         """Convex combination of states: [b,t] x [b,t,h] -> [b,h]."""
         w32, s32 = weights.f32(), states.f32()
         out = store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
@@ -290,8 +277,8 @@ class Tape:
 
         return self._emit("attn_context", [weights, states], out, backward)
 
-    def softmax_cross_entropy_with_mask(self, logits: Node, targets: np.ndarray,
-                                        mask: np.ndarray) -> Node:
+    def softmax_cross_entropy_with_mask(self, logits: Tensor, targets: np.ndarray,
+                                        mask: np.ndarray) -> Tensor:
         """Mean token-level cross-entropy over unmasked positions, FP32 only.
 
         logits: [batch, time, vocab]; targets: [batch, time] int ids;
@@ -299,7 +286,7 @@ class Tape:
         """
         targets = np.asarray(targets)
         m = np.asarray(mask, dtype=np.float32)
-        if logits.value.shape[:2] != targets.shape or targets.shape != m.shape:
+        if logits.shape[:2] != targets.shape or targets.shape != m.shape:
             raise ShapeError("cross entropy: logits/targets/mask shapes disagree")
         n_valid = float(m.sum())
         if n_valid == 0:
@@ -323,29 +310,29 @@ class Tape:
 
         return self._emit("softmax_cross_entropy", [logits], out, backward, is_loss=True)
 
-    def reduce_mean(self, x: Node) -> Node:
-        n = x.value.size
+    def reduce_mean(self, x: Tensor) -> Tensor:
+        n = x.size
         out = Tensor(np.asarray(np.mean(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [_unrounded(np.full(x.value.shape, seed / np.float32(n), dtype=np.float32))]
+            return [_unrounded(np.full(x.shape, seed / np.float32(n), dtype=np.float32))]
 
         return self._emit("reduce_mean", [x], out, backward, is_loss=True)
 
-    def reduce_sum(self, x: Node) -> Node:
+    def reduce_sum(self, x: Tensor) -> Tensor:
         out = Tensor(np.asarray(np.sum(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [_unrounded(np.full(x.value.shape, seed, dtype=np.float32))]
+            return [_unrounded(np.full(x.shape, seed, dtype=np.float32))]
 
         return self._emit("reduce_sum", [x], out, backward, is_loss=True)
 
 
-def backward(tape: Tape, loss_seed: float = 1.0, loss: Node | None = None) -> dict[str, Tensor]:
+def backward(tape: Tape, loss_seed: float = 1.0, loss: Tensor | None = None) -> dict[str, Tensor]:
     """Gradients of (loss_seed * loss) for every trainable variable on the tape.
 
     Non-finite values propagate without warnings; detection is the caller's
@@ -357,13 +344,13 @@ def backward(tape: Tape, loss_seed: float = 1.0, loss: Node | None = None) -> di
     root = loss if loss is not None else tape.ops[-1].output
     # A node's only contribution so far, as the op returned it ...
     grads: dict[int, Tensor] = {
-        id(root): Tensor(np.full(root.value.shape, np.float32(loss_seed), dtype=np.float32),
+        id(root): Tensor(np.full(root.shape, np.float32(loss_seed), dtype=np.float32),
                          DType.F32)
     }
     # ... or, from its second contribution on, a private FP32 running sum.
     sums: dict[int, np.ndarray] = {}
 
-    def accumulate(node: Node, g: Tensor):
+    def accumulate(node: Tensor, g: Tensor):
         key = id(node)
         acc = sums.get(key)
         if acc is not None:
@@ -375,12 +362,12 @@ def backward(tape: Tape, loss_seed: float = 1.0, loss: Node | None = None) -> di
         else:
             grads[key] = g
 
-    def gradient(node: Node) -> Tensor | None:
+    def gradient(node: Tensor) -> Tensor | None:
         acc = sums.pop(id(node), None)
         if acc is not None:
-            return store(acc, node.value.dtype)
+            return store(acc, node.dtype)
         g = grads.pop(id(node), None)
-        return None if g is None else cast(g, node.value.dtype)
+        return None if g is None else cast(g, node.dtype)
 
     result: dict[str, Tensor] = {}
     with np.errstate(over="ignore", invalid="ignore"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import MODES, Node, Tape, Variable
+from .autodiff import MODES, Tape, Variable
 from .tensor import DType, Tensor
 
 PAD_ID = 0
@@ -89,7 +89,7 @@ class Batch:
 
 @dataclass
 class Representation:
-    states: Node                # [b, time, hidden] tape node
+    states: Tensor              # [b, time, hidden], recorded on the tape
     mask: np.ndarray            # [b, time] float32
 
 
@@ -225,28 +225,43 @@ class ReverseTask(CopyTask):
     reverse = True
 
 
+def _read_parallel(source_file: str, target_file: str) -> list[tuple[list[str], list[str]]]:
+    with open(source_file, encoding="utf-8") as f:
+        src_lines = [line.split() for line in f.read().splitlines()]
+    with open(target_file, encoding="utf-8") as f:
+        tgt_lines = [line.split() for line in f.read().splitlines()]
+    if len(src_lines) != len(tgt_lines):
+        raise ValueError(
+            f"misaligned files: {len(src_lines)} source vs {len(tgt_lines)} target lines")
+    if not src_lines:
+        raise ValueError("empty parallel corpus")
+    return list(zip(src_lines, tgt_lines))
+
+
 class ParallelText(DataLayer):
-    """Line-aligned source/target text files, whitespace tokenized."""
+    """Line-aligned source/target text files, whitespace tokenized.
+
+    The vocabulary comes from the training files. The ``eval`` split reads
+    the held-out pair ``eval_source_file``/``eval_target_file`` and encodes it
+    with that vocabulary.
+    """
 
     def __init__(self, source_file: str, target_file: str, max_vocab: int = 50_000,
-                 split: str = "train"):
-        with open(source_file, encoding="utf-8") as f:
-            src_lines = [line.split() for line in f.read().splitlines()]
-        with open(target_file, encoding="utf-8") as f:
-            tgt_lines = [line.split() for line in f.read().splitlines()]
-        if len(src_lines) != len(tgt_lines):
-            raise ValueError(
-                f"misaligned files: {len(src_lines)} source vs {len(tgt_lines)} target lines")
-        if not src_lines:
-            raise ValueError("empty parallel corpus")
+                 split: str = "train", eval_source_file: str | None = None,
+                 eval_target_file: str | None = None):
+        lines = _read_parallel(source_file, target_file)
         counts: dict[str, int] = {}
-        for line in src_lines + tgt_lines:
-            for tok in line:
+        for src, tgt in lines:
+            for tok in src + tgt:
                 counts[tok] = counts.get(tok, 0) + 1
         ordered = sorted(counts, key=lambda t: (-counts[t], t))[: max_vocab - NUM_RESERVED]
         self.vocab = Vocabulary(ordered)
-        self.pairs = [(self.vocab.encode(s), self.vocab.encode(t))
-                      for s, t in zip(src_lines, tgt_lines)]
+        if split == "eval":
+            if eval_source_file is None or eval_target_file is None:
+                raise ValueError("the eval split of parallel_text needs both "
+                                 "'eval_source_file' and 'eval_target_file'")
+            lines = _read_parallel(eval_source_file, eval_target_file)
+        self.pairs = [(self.vocab.encode(s), self.vocab.encode(t)) for s, t in lines]
         self.examples_per_epoch = len(self.pairs)
         self.split = split
 
@@ -289,7 +304,7 @@ class RNNEncoder:
             in_size = self.hidden
         return p
 
-    def encode(self, tape: Tape, params: dict[str, Node], batch: Batch) -> Representation:
+    def encode(self, tape: Tape, params: dict[str, Tensor], batch: Batch) -> Representation:
         b, src_len = batch.source_ids.shape
         steps = [tape.embedding_gather(params["enc/emb"], batch.source_ids[:, t])
                  for t in range(src_len)]
@@ -329,26 +344,26 @@ class AttentionDecoder:
             "dec/b_out": np.zeros(vocab_size, dtype=np.float32),
         }
 
-    def _cell(self, tape, params, x: Node, h: Node) -> Node:
+    def _cell(self, tape, params, x: Tensor, h: Tensor) -> Tensor:
         pre = tape.add(tape.matmul(x, params["dec/w"]), tape.matmul(h, params["dec/u"]))
         return tape.tanh(tape.bias_add(pre, params["dec/b"]))
 
-    def _step_logits(self, tape, params, rep: Representation, h: Node) -> Node:
+    def _step_logits(self, tape, params, rep: Representation, h: Tensor) -> Tensor:
         scores = tape.attn_scores(h, rep.states)
         weights = tape.attn_weights(scores, rep.mask)
         context = tape.attn_context(weights, rep.states)
         joined = tape.concat_last_axis(h, context)
         return tape.bias_add(tape.matmul(joined, params["dec/w_out"]), params["dec/b_out"])
 
-    def initial_state(self, tape: Tape, batch_size: int) -> Node:
+    def initial_state(self, tape: Tape, batch_size: int) -> Tensor:
         zeros = np.zeros((batch_size, self.hidden), dtype=np.float32)
         return tape.constant(Tensor.from_array(zeros, tape.model_dtype))
 
-    def decode_teacher_forced(self, tape: Tape, params: dict[str, Node],
-                              rep: Representation, batch: Batch) -> Node:
-        if rep.states.value.shape[-1] != self.hidden:
+    def decode_teacher_forced(self, tape: Tape, params: dict[str, Tensor],
+                              rep: Representation, batch: Batch) -> Tensor:
+        if rep.states.shape[-1] != self.hidden:
             raise ValueError(
-                f"decoder hidden {self.hidden} != encoder hidden {rep.states.value.shape[-1]}")
+                f"decoder hidden {self.hidden} != encoder hidden {rep.states.shape[-1]}")
         inputs = batch.decoder_inputs()
         h = self.initial_state(tape, batch.size)
         logits_steps = []
@@ -359,7 +374,7 @@ class AttentionDecoder:
         return tape.stack_steps(logits_steps)
 
 
-def basic_sequence_loss(tape: Tape, logits: Node, batch: Batch) -> Node:
+def basic_sequence_loss(tape: Tape, logits: Tensor, batch: Batch) -> Tensor:
     """Mean over non-pad target positions of token cross-entropy (FP32)."""
     return tape.softmax_cross_entropy_with_mask(logits, batch.target_ids, batch.target_mask)
 
@@ -410,11 +425,11 @@ class Seq2SeqModel:
             for name, arr in sorted(arrays.items())
         }
 
-    def _leaves(self, tape: Tape) -> dict[str, Node]:
+    def _leaves(self, tape: Tape) -> dict[str, Tensor]:
         return {name: tape.leaf(v) for name, v in self.variables.items()}
 
-    def forward(self, batch: Batch) -> tuple[Node, Tape]:
-        """Teacher-forced loss for one batch; returns (loss node, tape)."""
+    def forward(self, batch: Batch) -> tuple[Tensor, Tape]:
+        """Teacher-forced loss for one batch; returns (loss tensor, tape)."""
         tape = Tape(self.mode)
         params = self._leaves(tape)
         rep = self.encoder.encode(tape, params, batch)
@@ -445,7 +460,7 @@ class Seq2SeqModel:
             x = tape.embedding_gather(params["dec/emb"], prev)
             h = self.decoder._cell(tape, params, x, h)
             logits = self.decoder._step_logits(tape, params, rep, h)
-            ids = np.argmax(logits.value.f32(), axis=-1)
+            ids = np.argmax(logits.f32(), axis=-1)
             for i in range(b):
                 if not done[i]:
                     if ids[i] == EOS_ID:

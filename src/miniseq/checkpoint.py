@@ -1,10 +1,12 @@
 """Checkpoints: a binary named-tensor table plus a JSON manifest.
 
-weights.bin holds every parameter, FP32 master copy (in FP32 runs too, where
-it equals the parameter), and optimizer slot as length-prefixed named-tensor
-records; manifest.json carries the step, a hash of the config that produced
-the run, and the loss-scale state, which is all a resumed run needs to
-continue bit-identically.
+weights.bin holds each trainable parameter once, as its FP32 master copy
+(in FP32 runs too, where it is the parameter), plus every optimizer slot, as
+length-prefixed named-tensor records; a restored parameter is its master cast
+to the parameter's dtype, as after every applied step. manifest.json carries
+the step, a hash of the config that produced the run, and the loss-scale
+state, which is all a resumed run needs to continue bit-identically. The
+``var:`` parameter records that older checkpoints also hold are ignored.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ class CheckpointError(RuntimeError):
 def save_checkpoint(directory: str, replica: Replica, step: int, config_hash: str) -> None:
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, WEIGHTS_FILE), "wb") as f:
-        for name in sorted(replica.model.variables):
-            write_named_tensor(f, f"var:{name}", replica.model.variables[name].value)
         for name in sorted(replica.state.master):
             write_named_tensor(f, f"master:{name}", replica.state.master[name])
         for var_name in sorted(replica.optimizer.slots):
@@ -70,13 +70,9 @@ def load_checkpoint(directory: str, *replicas: Replica) -> dict:
 
 
 def _restore(replica: Replica, manifest: dict, tensors: dict[str, Tensor]) -> None:
-    for name, var in replica.model.variables.items():
-        key = f"var:{name}"
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
-        if tensors[key].shape != var.value.shape or tensors[key].dtype is not var.value.dtype:
-            raise CheckpointError(f"parameter {name!r} does not match the current model")
-        var.value = tensors[key]
+    if manifest["mode"] != replica.model.mode:
+        raise CheckpointError(f"checkpoint of a {manifest['mode']!r} model does not match "
+                              f"the current {replica.model.mode!r} model")
     for name in replica.state.master:
         master = tensors.get(f"master:{name}")
         var = replica.model.variables[name]

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from .autodiff import MODES
 from .blocks import DATA_LAYERS, DECODERS, ENCODERS, LOSSES
+from .mixed_precision import SCALE_POLICIES, RegularizerRegistry
 from .optim import LR_POLICY_KINDS, OPTIMIZER_KINDS
 
 
@@ -65,7 +66,7 @@ class Config:
         if self.loss_scale is not None and self.loss_scaling is not None:
             raise ConfigError("'loss_scale' (static) and 'loss_scaling' (dynamic) are "
                               "mutually exclusive")
-        if self.loss_scaling is not None and self.loss_scaling.lower() not in ("backoff", "logmax"):
+        if self.loss_scaling is not None and self.loss_scaling.lower() not in SCALE_POLICIES:
             raise ConfigError(f"unknown loss_scaling {self.loss_scaling!r}")
         if self.optimizer_kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
@@ -89,7 +90,7 @@ class Config:
             extra = set(reg) - {"pattern", "kind", "lambda"}
             if extra:
                 raise ConfigError(f"unknown regularizer keys {sorted(extra)}")
-            if reg.get("kind", "l2_weight_decay") != "l2_weight_decay":
+            if reg.get("kind", RegularizerRegistry.KINDS[0]) not in RegularizerRegistry.KINDS:
                 raise ConfigError(f"unknown regularizer kind {reg.get('kind')!r}")
             if "pattern" not in reg or "lambda" not in reg:
                 raise ConfigError("regularizer entries need 'pattern' and 'lambda'")

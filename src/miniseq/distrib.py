@@ -439,13 +439,13 @@ class Replica:
     def forward_backward(self, step: int):
         """Forward on this shard's batch, scaled backward, local finite check."""
         batch = self.data.batch(step, self.batch_size)
-        loss_node, tape = self.model.forward(batch)
+        loss, tape = self.model.forward(batch)
         grads = backward(tape, loss_seed=self.scale)
         if self.grad_tap is not None:
             grads = self.grad_tap(step, grads)
         finite = check_finite_all(grads)
         tokens = float(batch.target_mask.sum())
-        return tape, loss_node.value.item(), grads, finite, tokens
+        return tape, loss.item(), grads, finite, tokens
 
     def unscale(self, grads: dict[str, Tensor]) -> dict[str, Tensor]:
         return unscale_to_f32(grads, self.scale)

@@ -59,9 +59,6 @@ class RegularizerRegistry:
             raise ValueError(f"{var_name!r} already registered")
         self.entries.append((var_name, kind, float(coeff)))
 
-    def __len__(self):
-        return len(self.entries)
-
 
 class LossScaleState:
     """Base: a positive scale and reactions to overflow / clean steps."""
@@ -174,6 +171,10 @@ class LogMaxScale(LossScaleState):
         self.var = float(d["var"])
 
 
+# The dynamic ``loss_scaling`` policies by lower-cased config name.
+SCALE_POLICIES = {"backoff": BackoffScale, "logmax": LogMaxScale}
+
+
 def make_scale_policy(dtype_mode: str, loss_scale: float | None, loss_scaling: str | None,
                       params: dict | None = None) -> LossScaleState:
     """Map config keys to a policy: static number, or "Backoff"/"LogMax";
@@ -183,12 +184,10 @@ def make_scale_policy(dtype_mode: str, loss_scale: float | None, loss_scaling: s
         return StaticScale(1.0)
     if loss_scaling is None:
         return StaticScale(scale=loss_scale if loss_scale is not None else 1.0)
-    name = loss_scaling.lower()
-    if name == "backoff":
-        return BackoffScale(**params)
-    if name == "logmax":
-        return LogMaxScale(**params)
-    raise ValueError(f"unknown loss_scaling {loss_scaling!r}")
+    policy = SCALE_POLICIES.get(loss_scaling.lower())
+    if policy is None:
+        raise ValueError(f"unknown loss_scaling {loss_scaling!r}")
+    return policy(**params)
 
 
 class MixedPrecisionState:

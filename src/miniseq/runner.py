@@ -92,9 +92,9 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int
     hyps, refs = [], []
     for i in range(config.eval_batches):
         batch = layer.batch(i, config.batch_size_per_gpu)
-        loss_node, tape = replica.model.forward(batch)
-        logits = tape.ops[-1].inputs[0].value
-        losses.append(loss_node.value.item())
+        loss, tape = replica.model.forward(batch)
+        logits = tape.ops[-1].inputs[0]
+        losses.append(loss.item())
         accs.append(token_accuracy(logits, batch))
         decoded = replica.model.greedy_decode(batch.source_ids, batch.source_mask,
                                               max_len=config.infer_max_len)

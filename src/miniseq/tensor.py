@@ -7,7 +7,9 @@ matrix products and reductions (the Tape ops in autodiff) accumulate in FP32
 regardless of input dtype.
 
 Tensors are immutable by convention: operations return new tensors and no
-public API mutates a buffer in place.
+public API mutates a buffer in place. An F16 tensor widens to FP32 once: f32()
+keeps the widened array and marks it read-only, so a caller that writes into
+it fails instead of corrupting the tensor.
 """
 
 from __future__ import annotations
@@ -56,13 +58,14 @@ class DType(Enum):
 class Tensor:
     """n-d array (row-major) tagged with an element dtype."""
 
-    __slots__ = ("data", "dtype")
+    __slots__ = ("data", "dtype", "_f32")
 
     def __init__(self, data: np.ndarray, dtype: DType):
         if data.dtype != dtype.np_dtype:
             raise TypeError(f"buffer dtype {data.dtype} does not match {dtype}")
         self.data = np.ascontiguousarray(data)
         self.dtype = dtype
+        self._f32 = None
 
     @staticmethod
     def from_array(arr, dtype: DType = DType.F32) -> "Tensor":
@@ -86,10 +89,14 @@ class Tensor:
         return self.size * self.dtype.nbytes
 
     def f32(self) -> np.ndarray:
-        """Widen to a float32 ndarray (exact for F16 inputs)."""
+        """The values as float32: an FP32 tensor's data, or an F16 tensor's
+        exact widening, made on the first call and then shared read-only."""
         if self.dtype is DType.F32:
             return self.data
-        return self.data.astype(np.float32)
+        if self._f32 is None:
+            self._f32 = self.data.astype(np.float32)
+            self._f32.flags.writeable = False
+        return self._f32
 
     def item(self) -> float:
         if self.size != 1:

@@ -46,7 +46,7 @@ def analytic_grad(build, params):
     leaves = {k: tape.leaf(var(k, v)) for k, v in params.items()}
     loss = build(tape, leaves)
     grads = backward(tape, 1.0, loss=loss)
-    return {k: g.f32() for k, g in grads.items()}, loss.value.item()
+    return {k: g.f32() for k, g in grads.items()}, loss.item()
 
 
 def check_primitive(build, shadow, shapes, n_points=20, seed=0, tol=1e-3):
@@ -192,18 +192,18 @@ class TestMixedForwardBits:
         tape = Tape("mixed")
         a = tape.constant(Tensor.from_array(xs, DType.F16))
         b = tape.constant(Tensor.from_array(ys, DType.F16))
-        out = tape.mul(a, b).value
+        out = tape.mul(a, b)
         assert out.dtype is DType.F16
         expect = [hf.f16_binop("mul", int(x), int(y))
-                  for x, y in zip(hf.np16_to_bits(a.value.data), hf.np16_to_bits(b.value.data))]
+                  for x, y in zip(hf.np16_to_bits(a.data), hf.np16_to_bits(b.data))]
         assert hf.np16_to_bits(out.data).tolist() == expect
 
     def test_sigmoid_and_tanh_round_once(self):
         tape = Tape("mixed")
         x = tape.constant(Tensor.from_array(np.linspace(-4, 4, 97), DType.F16))
-        x32 = x.value.f32()
-        for out, y32 in ((tape.sigmoid(x).value, 1.0 / (1.0 + np.exp(-x32))),
-                         (tape.tanh(x).value, np.tanh(x32))):
+        x32 = x.f32()
+        for out, y32 in ((tape.sigmoid(x), 1.0 / (1.0 + np.exp(-x32))),
+                         (tape.tanh(x), np.tanh(x32))):
             assert out.dtype is DType.F16
             assert np.array_equal(hf.np16_to_bits(out.data), hf.narrow(y32))
 
@@ -214,7 +214,7 @@ class TestBackwardSemantics:
         w = tape.leaf(var("w", [1.0, 2.0]))
         x = tape.constant(Tensor.from_array([3.0, 4.0]))
         loss = tape.reduce_sum(tape.mul(w, x))
-        assert loss.value.item() == 11.0
+        assert loss.item() == 11.0
         grads = backward(tape, 1.0)
         assert np.array_equal(grads["w"].f32(), [3.0, 4.0])
 
@@ -295,7 +295,7 @@ class TestBackwardSemantics:
             tape = Tape("float32")
             l = tape.leaf(var("l", logit_arr))
             loss = tape.softmax_cross_entropy_with_mask(l, targets, mask)
-            return loss.value.item(), backward(tape, 1.0)["l"].f32()
+            return loss.item(), backward(tape, 1.0)["l"].f32()
 
         loss_a, grad_a = run(base)
         perturbed = base.copy()
@@ -312,7 +312,7 @@ class TestBackwardSemantics:
 
 def tape_matmul(a: Tensor, b: Tensor, mode: str) -> Tensor:
     tape = Tape(mode)
-    return tape.matmul(tape.constant(a), tape.constant(b)).value
+    return tape.matmul(tape.constant(a), tape.constant(b))
 
 
 class TestTapeMatmul:
@@ -487,7 +487,7 @@ class TestRoundingPoints:
             if id(op.output) in reached:
                 reached.update(id(n) for n in op.inputs)
         f16_nodes = {id(n) for op in tape.ops for n in [op.output, *op.inputs]
-                     if id(n) in reached and n.value.dtype is DType.F16}
+                     if id(n) in reached and n.dtype is DType.F16}
         calls = []
         narrow_host = hf.narrow_host
         monkeypatch.setattr(hf, "narrow_host", lambda a: calls.append(a) or narrow_host(a))
@@ -496,13 +496,43 @@ class TestRoundingPoints:
         assert 0 < len(calls) <= len(f16_nodes)
 
 
-class TestNodeF32:
-    def test_widened_once_and_shared(self):
+class TestTensorF32:
+    def test_f16_widened_once_and_shared_read_only(self):
         tape = Tape("mixed")
         x = tape.constant(f16([0.5, -2.0, 3.0]))
         y = tape.tanh(x)
-        for node in (x, y):
-            first = node.f32()
+        for t in (x, y):
+            first = t.f32()
             assert first.dtype == np.float32
-            assert np.array_equal(first, node.value.f32())
-            assert node.f32() is first
+            assert np.array_equal(first, t.data.astype(np.float32))
+            assert t.f32() is first
+            with pytest.raises(ValueError):
+                first[0] = 1.0
+
+    def test_fp32_tensor_returns_its_data(self):
+        t = f32([1.0, 2.0])
+        assert t.f32() is t.data
+        assert t.data.flags.writeable
+
+    def test_leaf_is_the_variable_value(self):
+        tape = Tape("mixed")
+        v = var("w", [1.0, 2.0], DType.F16)
+        assert tape.leaf(v) is v.value
+        assert tape.leaf(v) is v.value
+
+
+class TestConstantOperand:
+    def test_matmul_gives_no_gradient_to_a_constant(self):
+        rng = np.random.default_rng(4)
+        h, u = f16(np.zeros((3, 4))), f16(rng.uniform(-1, 1, size=(4, 4)))
+        g = f16(rng.uniform(-1, 1, size=(3, 4)))
+        tape = Tape("mixed")
+        tape.matmul(tape.constant(h), tape.leaf(Variable("u", u)))
+        # the same operand as a variable: the gradients a constant used to get
+        ref = Tape("mixed")
+        ref.matmul(ref.leaf(Variable("h", h)), ref.leaf(Variable("u", u)))
+        g_h, g_u = tape.ops[0].backward(g)
+        ref_h, ref_u = ref.ops[0].backward(g)
+        assert g_h is None and ref_h is not None
+        assert np.array_equal(g_u.f32().view(np.uint32), ref_u.f32().view(np.uint32))
+        assert set(backward(tape, 1.0)) == {"u"}

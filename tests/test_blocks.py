@@ -186,6 +186,29 @@ class TestDataLayers:
         # wraps around
         assert layer.example(2) == layer.example(0)
 
+    def test_parallel_text_eval_split_reads_the_eval_files(self, tmp_path):
+        files = {}
+        for name, text in (("s", "a b c\nd e\n"), ("t", "c b a\ne d\n"),
+                           ("es", "e d\nq a\n"), ("et", "d e\na q\n")):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text, encoding="utf-8")
+        params = dict(source_file=str(files["s"]), target_file=str(files["t"]),
+                      eval_source_file=str(files["es"]), eval_target_file=str(files["et"]))
+        train = ParallelText(**params)
+        held_out = ParallelText(**params, split="eval")
+        assert held_out.vocab.token_to_id == train.vocab.token_to_id
+        assert held_out.examples_per_epoch == 2
+        assert [train.vocab.decode(s) for s, _ in held_out.pairs] == [["e", "d"], ["<unk>", "a"]]
+        assert [train.vocab.decode(t) for _, t in held_out.pairs] == [["d", "e"], ["a", "<unk>"]]
+        assert held_out.pairs[0] not in train.pairs
+
+    def test_parallel_text_eval_split_needs_the_eval_files(self, tmp_path):
+        src = tmp_path / "s.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        ParallelText(str(src), str(src), eval_source_file=str(src))
+        with pytest.raises(ValueError, match="'eval_source_file' and 'eval_target_file'"):
+            ParallelText(str(src), str(src), split="eval", eval_source_file=str(src))
+
     def test_parallel_text_misaligned_rejected(self, tmp_path):
         src = tmp_path / "s.txt"
         tgt = tmp_path / "t.txt"
@@ -217,14 +240,14 @@ class TestEncoder:
         tape = Tape("float32")
         params = model._leaves(tape)
         rep = model.encoder.encode(tape, params, batch)
-        assert np.allclose(rep.states.value.f32(), np.tanh(0.3), atol=1e-7)
+        assert np.allclose(rep.states.f32(), np.tanh(0.3), atol=1e-7)
 
     def test_length_one_sequences(self):
         model = Seq2SeqModel(small_spec(), vocab_size=16, seed=0)
         batch = CopyTask(vocab_size=16, seq_len=1, seed=0).batch(0, 3)
         tape = Tape("float32")
         rep = model.encoder.encode(tape, model._leaves(tape), batch)
-        assert rep.states.value.shape == (3, 1, 8)
+        assert rep.states.shape == (3, 1, 8)
 
     def test_matches_step_by_step_recurrence_oracle(self):
         model = Seq2SeqModel(small_spec(layers=2), vocab_size=16, seed=11)
@@ -242,7 +265,7 @@ class TestEncoder:
                 h = np.tanh(x[:, t] @ p[f"enc/l{l}/w"] + h @ p[f"enc/l{l}/u"] + p[f"enc/l{l}/b"])
                 outs.append(h)
             x = np.stack(outs, axis=1)
-        assert np.max(np.abs(rep.states.value.f32() - x)) < 1e-6
+        assert np.max(np.abs(rep.states.f32() - x)) < 1e-6
 
 
 class TestDecoder:
@@ -261,7 +284,7 @@ class TestDecoder:
         h = model.decoder._cell(tape, params, x, h)
         scores = tape.attn_scores(h, rep.states)
         weights = tape.attn_weights(scores, rep.mask)
-        assert np.allclose(weights.value.f32(), 1.0)
+        assert np.allclose(weights.f32(), 1.0)
 
     def test_uniform_states_make_context_independent_of_query(self):
         model = Seq2SeqModel(small_spec(), vocab_size=16, seed=2)
@@ -274,7 +297,7 @@ class TestDecoder:
             q = tape.constant(Tensor.from_array(q_arr))
             w = tape.attn_weights(tape.attn_scores(q, states), mask)
             ctx = tape.attn_context(w, states)
-            assert np.allclose(ctx.value.f32(), state_row, atol=1e-6)
+            assert np.allclose(ctx.f32(), state_row, atol=1e-6)
 
     def test_matches_step_by_step_oracle(self):
         model = Seq2SeqModel(small_spec(), vocab_size=16, seed=5)
@@ -304,7 +327,7 @@ class TestDecoder:
             ctx = np.einsum("bs,bsh->bh", w, enc)
             logits.append(np.concatenate([h, ctx], axis=-1) @ p["dec/w_out"] + p["dec/b_out"])
         logits = np.stack(logits, axis=1)
-        assert np.max(np.abs(logits_node.value.f32() - logits)) < 1e-6
+        assert np.max(np.abs(logits_node.f32() - logits)) < 1e-6
 
     def test_hidden_size_mismatch_rejected(self):
         spec = small_spec(dec_hidden=4)
@@ -327,7 +350,7 @@ class TestDecoder:
         h = model.decoder.initial_state(tape, 2)
         x = tape.embedding_gather(params["dec/emb"], np.full(2, BOS_ID))
         h = model.decoder._cell(tape, params, x, h)
-        w = tape.attn_weights(tape.attn_scores(h, rep.states), rep.mask).value.f32()
+        w = tape.attn_weights(tape.attn_scores(h, rep.states), rep.mask).f32()
         assert np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-6)
         assert w[1, 1] == 0.0 and w[1, 2] == 0.0
 
@@ -341,14 +364,14 @@ class TestLoss:
         tape = Tape("float32")
         node = tape.constant(Tensor.from_array(onehot))
         loss = basic_sequence_loss(tape, node, batch)
-        assert loss.value.item() < 1e-3
+        assert loss.item() < 1e-3
 
     def test_uniform_logits_log_vocab(self):
         batch = CopyTask(vocab_size=16, seq_len=3, seed=0).batch(0, 2)
         tape = Tape("float32")
         node = tape.constant(Tensor.from_array(np.zeros((2, 4, 16))))
         loss = basic_sequence_loss(tape, node, batch)
-        assert loss.value.item() == pytest.approx(np.log(16), rel=1e-6)
+        assert loss.item() == pytest.approx(np.log(16), rel=1e-6)
 
     def test_all_pad_batch_rejected(self):
         batch = CopyTask(vocab_size=16, seq_len=2, seed=0).batch(0, 1)
@@ -370,7 +393,7 @@ class TestLoss:
         b_idx, t_idx = np.indices(batch.target_ids.shape)
         ce = logz - z[b_idx, t_idx, batch.target_ids]
         expect = (ce * batch.target_mask).sum() / batch.target_mask.sum()
-        assert loss.value.item() == pytest.approx(expect, abs=1e-6)
+        assert loss.item() == pytest.approx(expect, abs=1e-6)
 
 
 class TestModel:
@@ -379,7 +402,7 @@ class TestModel:
                              vocab_size=16, seed=0)
         batch = CopyTask(vocab_size=16, seq_len=8, seed=0).batch(0, 32)
         loss, _ = model.forward(batch)
-        assert abs(loss.value.item() - np.log(16)) < 0.1 * np.log(16)
+        assert abs(loss.item() - np.log(16)) < 0.1 * np.log(16)
 
     def test_composability_registry(self):
         layer = CopyTask(vocab_size=12, seq_len=3, seed=0)
@@ -392,7 +415,7 @@ class TestModel:
                 model = Seq2SeqModel(spec, vocab_size=12, seed=0)
                 loss, tape = model.forward(batch)
                 grads = backward(tape, 1.0)
-                assert np.isfinite(loss.value.item())
+                assert np.isfinite(loss.item())
                 assert set(grads) == set(model.variables)
 
     def test_mask_perturbation_invariance(self, tmp_path):
@@ -409,7 +432,7 @@ class TestModel:
         batch.target_ids[0, -1] = 5
         loss_b, tape_b = model.forward(batch)
         grads_b = backward(tape_b, 1.0)
-        assert loss_a.value.item() == loss_b.value.item()
+        assert loss_a.item() == loss_b.item()
         for k in grads_a:
             assert np.array_equal(grads_a[k].f32(), grads_b[k].f32())
 

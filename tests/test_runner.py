@@ -259,6 +259,31 @@ class TestCheckpoint:
             assert master is fresh.model.variables[name].value
             assert np.array_equal(master.f32(), replica.state.master[name].f32())
 
+    def test_weights_stored_once_and_older_var_records_ignored(self, tmp_path):
+        from miniseq.tensor import read_named_tensor, write_named_tensor
+        cfg = base_config(tmp_path, dtype="mixed", loss_scaling="Backoff")
+        replica = build_replica(cfg, 0, 1)
+        replica.apply(replica.unscale(replica.forward_backward(0)[2]), 0)
+        save_checkpoint(cfg.checkpoint_dir, replica, 1, cfg.content_hash())
+        path = os.path.join(cfg.checkpoint_dir, "weights.bin")
+        with open(path, "rb") as f:
+            names = [name for name, _ in iter(lambda: read_named_tensor(f), None)]
+        assert sorted(n for n in names if not n.startswith("opt:")) == \
+            sorted(f"master:{name}" for name in replica.model.variables)
+        # an older checkpoint also held the parameters as var: records
+        with open(path, "ab") as f:
+            for name, v in replica.model.variables.items():
+                write_named_tensor(f, f"var:{name}", v.value)
+        fresh = build_replica(cfg, 0, 1)
+        load_checkpoint(cfg.checkpoint_dir, fresh)
+        assert fresh.parameter_digest() == replica.parameter_digest()
+
+    def test_checkpoint_of_the_other_dtype_mode_raises(self, tmp_path):
+        cfg = base_config(tmp_path, dtype="mixed")
+        save_checkpoint(cfg.checkpoint_dir, build_replica(cfg, 0, 1), 0, cfg.content_hash())
+        with pytest.raises(CheckpointError, match="'mixed' model"):
+            load_checkpoint(cfg.checkpoint_dir, build_replica(base_config(tmp_path), 0, 1))
+
     @pytest.mark.parametrize("damage", ["dropped", "reshaped"])
     def test_missing_or_mismatched_master_records_raise(self, tmp_path, damage):
         from miniseq.tensor import Tensor, read_named_tensor, write_named_tensor
