@@ -19,6 +19,12 @@ in FP32, in the order backward() meets them, before that one rounding.
 
 The backward seed is where loss scaling enters: seeding with S instead of 1
 multiplies every gradient by S before it is rounded into the gradient dtype.
+
+A tape built with ``record=False`` is for evaluation and decoding: every op
+computes and rounds its output exactly as on a recording tape, but nothing
+is appended to ``ops``, no backward closure is built, and arrays that only
+backward reads (the cross-entropy probabilities, the relu mask) are never
+made. backward() refuses such a tape, whose ``ops`` stay empty.
 """
 
 from __future__ import annotations
@@ -68,10 +74,11 @@ class _Op:
 class Tape:
     """Execution trace of differentiable ops for one forward pass."""
 
-    def __init__(self, mode: str = "float32"):
+    def __init__(self, mode: str = "float32", record: bool = True):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         self.mode = mode
+        self.record = record
         self.ops: list[_Op] = []
         self.variables: dict[str, Variable] = {}
         self._leaves: dict[str, Tensor] = {}
@@ -116,6 +123,8 @@ class Tape:
             raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
         a32, b32 = a.f32(), b.f32()
         out = store(np.matmul(a32, b32), self.model_dtype)
+        if not self.record:
+            return out
         a_const, b_const = id(a) in self._constants, id(b) in self._constants
 
         def backward(g: Tensor):
@@ -129,6 +138,8 @@ class Tape:
         if a.shape != b.shape:
             raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
         out = store(a.f32() + b.f32(), self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             return [g, g]
@@ -139,6 +150,8 @@ class Tape:
         if x.shape[-1] != b.shape[-1] or b.data.ndim != 1:
             raise ShapeError(f"bias_add: shapes {x.shape} vs {b.shape}")
         out = store(x.f32() + b.f32(), self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -151,6 +164,8 @@ class Tape:
             raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
         a32, b32 = a.f32(), b.f32()
         out = store(a32 * b32, self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -161,6 +176,8 @@ class Tape:
     def scale(self, x: Tensor, c: float) -> Tensor:
         c32 = np.float32(c)
         out = store(x.f32() * c32, self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             return [_unrounded(g.f32() * c32)]
@@ -170,6 +187,8 @@ class Tape:
     def tanh(self, x: Tensor) -> Tensor:
         y32 = np.tanh(x.f32())
         out = store(y32, self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             return [_unrounded(g.f32() * (1.0 - y32 * y32))]
@@ -179,6 +198,8 @@ class Tape:
     def sigmoid(self, x: Tensor) -> Tensor:
         y32 = 1.0 / (1.0 + np.exp(-x.f32()))
         out = store(y32, self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             return [_unrounded(g.f32() * y32 * (1.0 - y32))]
@@ -188,6 +209,8 @@ class Tape:
     def relu(self, x: Tensor) -> Tensor:
         x32 = x.f32()
         out = store(np.maximum(x32, 0.0), self.model_dtype)
+        if not self.record:
+            return out
         pos = x32 > 0
 
         def backward(g: Tensor):
@@ -200,6 +223,8 @@ class Tape:
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
             raise ShapeError("embedding ids out of range")
         out = Tensor(table.data[ids].copy(), table.dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             acc = np.zeros(table.shape, dtype=np.float32)
@@ -212,6 +237,8 @@ class Tape:
         if a.shape[:-1] != b.shape[:-1]:
             raise ShapeError(f"concat: shapes {a.shape} vs {b.shape}")
         out = Tensor(np.concatenate([a.data, b.data], axis=-1), a.dtype)
+        if not self.record:
+            return out
         split = a.shape[-1]
 
         def backward(g: Tensor):
@@ -224,6 +251,8 @@ class Tape:
     def stack_steps(self, steps: list[Tensor]) -> Tensor:
         """Stack per-step [batch, h] nodes into [batch, time, h]."""
         out = Tensor(np.stack([s.data for s in steps], axis=1), steps[0].dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             return [Tensor(np.ascontiguousarray(g.data[:, t]), g.dtype)
@@ -237,6 +266,8 @@ class Tape:
         if q32.shape[-1] != s32.shape[-1]:
             raise ShapeError(f"attn_scores: hidden {q32.shape} vs {s32.shape}")
         out = store(np.einsum("bh,bth->bt", q32, s32, dtype=np.float32), self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -257,6 +288,8 @@ class Tape:
         e = np.exp(shifted, dtype=np.float32) * m
         w32 = (e / np.sum(e, axis=-1, keepdims=True, dtype=np.float32)).astype(np.float32)
         out = store(w32, self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -269,6 +302,8 @@ class Tape:
         """Convex combination of states: [b,t] x [b,t,h] -> [b,h]."""
         w32, s32 = weights.f32(), states.f32()
         out = store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -298,6 +333,8 @@ class Tape:
         ce = (logz - shifted[b_idx, t_idx, targets]).astype(np.float32)
         loss = np.float32((ce * m).sum(dtype=np.float32) / np.float32(n_valid))
         out = Tensor(np.asarray(loss, dtype=np.float32), DType.F32)
+        if not self.record:
+            return out
 
         probs = np.exp(shifted - logz[..., None], dtype=np.float32)
 
@@ -314,6 +351,8 @@ class Tape:
         n = x.size
         out = Tensor(np.asarray(np.mean(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
@@ -324,6 +363,8 @@ class Tape:
     def reduce_sum(self, x: Tensor) -> Tensor:
         out = Tensor(np.asarray(np.sum(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
+        if not self.record:
+            return out
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())

@@ -12,6 +12,11 @@ finaliser; Salmon et al. 2011, "Parallel Random Numbers: As Easy as 1, 2,
 3"), so example i is the same bytes no matter which worker consumes it or
 when - that is what makes sharding, resume, and the distributed-equivalence
 checks exact - and a whole batch is a few array operations.
+
+Evaluation and greedy decoding run on tapes that record nothing. Greedy
+decoding steps all rows of a batch together and cuts each row at its first
+eos; given the Representation of a teacher-forced pass over the same
+sources, it skips the encoder, so an eval batch is encoded once.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class Batch:
 
 @dataclass
 class Representation:
-    states: Tensor              # [b, time, hidden], recorded on the tape
+    states: Tensor              # [b, time, hidden], computed on a tape
     mask: np.ndarray            # [b, time] float32
 
 
@@ -154,9 +159,6 @@ class _Shard(DataLayer):
         self.num_workers = num_workers
         self.vocab = base.vocab
         self.examples_per_epoch = base.examples_per_epoch
-
-    def example(self, index: int):
-        return self.base.example(self.worker_index + self.num_workers * index)
 
     def take(self, indices: np.ndarray) -> Batch:
         return self.base.take(self.worker_index + self.num_workers * np.asarray(indices))
@@ -428,49 +430,55 @@ class Seq2SeqModel:
     def _leaves(self, tape: Tape) -> dict[str, Tensor]:
         return {name: tape.leaf(v) for name, v in self.variables.items()}
 
-    def forward(self, batch: Batch) -> tuple[Tensor, Tape]:
-        """Teacher-forced loss for one batch; returns (loss tensor, tape)."""
-        tape = Tape(self.mode)
+    def teacher_forced(self, tape: Tape, batch: Batch) -> tuple[Tensor, Tensor, Representation]:
+        """(loss, logits, representation) of one batch, computed on ``tape``."""
         params = self._leaves(tape)
         rep = self.encoder.encode(tape, params, batch)
         logits = self.decoder.decode_teacher_forced(tape, params, rep, batch)
-        loss = self.loss_fn(tape, logits, batch)
-        return loss, tape
+        return self.loss_fn(tape, logits, batch), logits, rep
+
+    def forward(self, batch: Batch) -> tuple[Tensor, Tape]:
+        """Teacher-forced loss for one batch; returns (loss tensor, tape)."""
+        tape = Tape(self.mode)
+        return self.teacher_forced(tape, batch)[0], tape
 
     def greedy_decode(self, source_ids: np.ndarray, source_mask: np.ndarray,
-                      max_len: int = 32) -> list[list[int]]:
-        """Argmax decoding from bos until eos or the length bound.
+                      max_len: int = 32, *, rep: Representation | None = None
+                      ) -> list[list[int]]:
+        """Argmax decoding from bos until eos or the length bound, on a tape
+        that records nothing.
 
-        np.argmax resolves ties toward the lowest token id, which keeps
-        decoding deterministic.
+        ``rep`` is the encoding of these sources when the caller already has
+        it (the eval pass takes it from its teacher-forced forward); without
+        it the sources are encoded here. Every row steps until all rows have
+        emitted eos; each is cut at its first eos at the end. np.argmax
+        resolves ties toward the lowest token id, which keeps decoding
+        deterministic.
         """
-        tape = Tape(self.mode)
+        tape = Tape(self.mode, record=False)
         params = self._leaves(tape)
         b = source_ids.shape[0]
-        lengths = source_mask.sum(axis=1).astype(np.int64)
-        rep = self.encoder.encode(
-            tape, params,
-            Batch(source_ids, source_mask.astype(np.float32), lengths,
-                  np.zeros((b, 1), dtype=np.int64), np.ones((b, 1), dtype=np.float32)))
+        if rep is None:
+            lengths = source_mask.sum(axis=1).astype(np.int64)
+            rep = self.encoder.encode(
+                tape, params,
+                Batch(source_ids, source_mask.astype(np.float32), lengths,
+                      np.zeros((b, 1), dtype=np.int64), np.ones((b, 1), dtype=np.float32)))
         h = self.decoder.initial_state(tape, b)
         prev = np.full(b, BOS_ID, dtype=np.int64)
         done = np.zeros(b, dtype=bool)
-        outputs: list[list[int]] = [[] for _ in range(b)]
-        for _ in range(max_len):
+        # one column past max_len stays eos, so every row has an eos to cut at
+        ids = np.full((b, max(max_len, 0) + 1), EOS_ID, dtype=np.int64)
+        for t in range(max_len):
             x = tape.embedding_gather(params["dec/emb"], prev)
             h = self.decoder._cell(tape, params, x, h)
             logits = self.decoder._step_logits(tape, params, rep, h)
-            ids = np.argmax(logits.f32(), axis=-1)
-            for i in range(b):
-                if not done[i]:
-                    if ids[i] == EOS_ID:
-                        done[i] = True
-                    else:
-                        outputs[i].append(int(ids[i]))
+            prev = ids[:, t] = np.argmax(logits.f32(), axis=-1)
+            done |= prev == EOS_ID
             if done.all():
                 break
-            prev = ids
-        return outputs
+        cut = np.argmax(ids == EOS_ID, axis=1)
+        return [row[:n] for row, n in zip(ids.tolist(), cut.tolist())]
 
 
 def token_accuracy(logits: Tensor, batch: Batch) -> float:

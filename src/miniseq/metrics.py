@@ -1,15 +1,99 @@
-"""Evaluation metrics and the append-only training metrics log."""
+"""Evaluation metrics and the append-only training metrics log.
+
+BLEU and WER take token lists and are sums over sentence pairs, so they
+score a corpus in slices of _PAIRS_PER_SLICE pairs. Within a slice, each
+distinct token becomes an integer and the work runs on integer arrays for
+all sentences at once: BLEU keys every n-gram of every sentence as one
+integer and takes the clipped counts from np.unique, and WER fills the
+Levenshtein tables one hypothesis position at a time for all sentences
+together. The counts are exact integers and the final float formulas are
+those of the per-sentence definitions, so the scores are too.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+# Enough pairs that numpy's per-call cost is spread thin, few enough that a
+# slice's temporaries stay small whatever the corpus size.
+_PAIRS_PER_SLICE = 256
+
+
+def _slices(hypotheses: list, references: list):
+    """(token ids of the slice's hypotheses then references, their lengths)
+    for each slice of sentence pairs."""
+    for start in range(0, len(hypotheses), _PAIRS_PER_SLICE):
+        stop = start + _PAIRS_PER_SLICE
+        sequences = list(hypotheses[start:stop]) + list(references[start:stop])
+        tokens = list(itertools.chain.from_iterable(sequences))
+        index = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
+        yield (np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens)),
+               np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences)))
+
+
+def _clipped_matches(flat: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int]]:
+    """(clipped matches, hypothesis n-grams) for n = 1..4, summed over the
+    pairs of one slice; the first half of ``lengths`` are the hypotheses."""
+    n_pairs = lengths.size // 2
+    is_hyp = np.repeat(np.arange(lengths.size) < n_pairs, lengths)
+    pair = np.repeat(np.arange(lengths.size) % n_pairs, lengths)
+    # tokens from each position to the end of its sentence
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size)
+    base = flat.size + 1  # exceeds every token id and every dense n-gram id
+    counts = []
+    grams = flat
+    for n in range(1, 5):
+        if n > 1:
+            # the (n-1)-gram at each position extended by its next token, renumbered densely
+            grams = np.unique(grams[:-1] * base + flat[n - 1:], return_inverse=True)[1]
+        size = grams.size
+        keys = pair[:size] * base + grams
+        whole = room[:size] >= n
+        hyp_keys, hyp_counts = np.unique(keys[whole & is_hyp[:size]], return_counts=True)
+        ref_keys, ref_counts = np.unique(keys[whole & ~is_hyp[:size]], return_counts=True)
+        _, in_hyp, in_ref = np.intersect1d(hyp_keys, ref_keys, assume_unique=True,
+                                           return_indices=True)
+        counts.append((int(np.minimum(hyp_counts[in_hyp], ref_counts[in_ref]).sum()),
+                       int(hyp_counts.sum())))
+    return counts
+
+
+def _padded(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """[len(lengths), max length] matrix of the sequences, -1 past each end."""
+    out = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    out[np.repeat(np.arange(lengths.size), lengths),
+        np.arange(flat.size) - np.repeat(starts, lengths)] = flat
+    return out
+
+
+def _edit_distance(flat: np.ndarray, lengths: np.ndarray) -> int:
+    """Levenshtein distances summed over the pairs of one slice; the first
+    half of ``lengths`` are the hypotheses."""
+    n_pairs = lengths.size // 2
+    split = int(lengths[:n_pairs].sum())
+    hyp_lens, ref_lens = lengths[:n_pairs], lengths[n_pairs:]
+    hyp, ref = _padded(flat[:split], hyp_lens), _padded(flat[split:], ref_lens)
+    # row i of every pair's table at once: row[s, j] is the distance between
+    # the first i tokens of hypothesis s and the first j of its reference
+    j = np.arange(ref.shape[1] + 1)
+    row = np.tile(j, (n_pairs, 1))
+    dist = ref_lens.copy()  # an empty hypothesis
+    for i in range(1, hyp.shape[1] + 1):
+        step = np.empty_like(row)
+        step[:, 0] = i
+        # deletion, or substitution (free on a match)
+        np.minimum(row[:, 1:] + 1, row[:, :-1] + (hyp[:, i - 1:i] != ref), out=step[:, 1:])
+        # insertion: row[j] = min over k <= j of step[k] + (j - k)
+        row = np.minimum.accumulate(step - j, axis=1) + j
+        ends = hyp_lens == i
+        dist[ends] = row[ends, ref_lens[ends]]
+    return int(dist.sum())
 
 
 def bleu4(hypotheses: list[list[str]], references: list[list[str]]) -> float:
@@ -25,36 +109,18 @@ def bleu4(hypotheses: list[list[str]], references: list[list[str]]) -> float:
         raise ValueError("empty corpus")
     if any(len(r) == 0 for r in references):
         raise ValueError("empty reference")
-    matched = [0] * 4
-    total = [0] * 4
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, 5):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            total[n - 1] += max(len(hyp) - n + 1, 0)
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    matched, total = [0] * 4, [0] * 4
+    for flat, lengths in _slices(hypotheses, references):
+        for n, (m, t) in enumerate(_clipped_matches(flat, lengths)):
+            matched[n] += m
+            total[n] += t
+    hyp_len = sum(len(h) for h in hypotheses)
+    ref_len = sum(len(r) for r in references)
     if hyp_len == 0 or any(m == 0 for m in matched):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / 4.0
     brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
     return 100.0 * brevity * math.exp(log_precision)
-
-
-def _levenshtein(a: list[str], b: list[str]) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        current = [i] + [0] * len(b)
-        for j, tok_b in enumerate(b, start=1):
-            current[j] = min(previous[j] + 1, current[j - 1] + 1,
-                             previous[j - 1] + (tok_a != tok_b))
-        previous = current
-    return previous[len(b)]
 
 
 def wer(hypotheses: list[list[str]], references: list[list[str]]) -> float:
@@ -64,7 +130,7 @@ def wer(hypotheses: list[list[str]], references: list[list[str]]) -> float:
     ref_words = sum(len(r) for r in references)
     if ref_words == 0:
         raise ValueError("empty references")
-    edits = sum(_levenshtein(h, r) for h, r in zip(hypotheses, references))
+    edits = sum(_edit_distance(flat, lengths) for flat, lengths in _slices(hypotheses, references))
     return 100.0 * edits / ref_words
 
 

@@ -10,6 +10,7 @@ and take turns (see distrib.WorkerGroup).
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import os
 import queue
 import subprocess
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Tape
 from .blocks import DATA_LAYERS, DataLayer, ModelSpec, Seq2SeqModel, token_accuracy
 from .checkpoint import checkpoint_exists, load_checkpoint, save_checkpoint
 from .config import RUN_MODES, Config
@@ -83,6 +85,8 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int
              layer: DataLayer | None = None) -> dict:
     """Teacher-forced loss/accuracy plus greedy BLEU/WER on the eval split.
 
+    Both passes run on tapes that record nothing, and greedy decoding reuses
+    the encoding of the teacher-forced pass, so each batch is encoded once.
     A run that evaluates more than once passes the eval ``layer`` it built
     once; without one, this call builds it.
     """
@@ -90,18 +94,18 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int
         layer = _eval_layer(config)
     losses, accs = [], []
     hyps, refs = [], []
+    model = replica.model
     for i in range(config.eval_batches):
         batch = layer.batch(i, config.batch_size_per_gpu)
-        loss, tape = replica.model.forward(batch)
-        logits = tape.ops[-1].inputs[0]
+        loss, logits, rep = model.teacher_forced(Tape(model.mode, record=False), batch)
         losses.append(loss.item())
         accs.append(token_accuracy(logits, batch))
-        decoded = replica.model.greedy_decode(batch.source_ids, batch.source_mask,
-                                              max_len=config.infer_max_len)
-        for row, ids in enumerate(decoded):
-            ref_len = int(batch.target_mask[row].sum()) - 1  # trailing eos excluded
+        decoded = model.greedy_decode(batch.source_ids, batch.source_mask,
+                                      max_len=config.infer_max_len, rep=rep)
+        ref_lens = batch.target_mask.sum(axis=1).astype(np.int64) - 1  # trailing eos excluded
+        for ids, target, n in zip(decoded, batch.target_ids.tolist(), ref_lens.tolist()):
             hyps.append(layer.vocab.decode(ids))
-            refs.append(layer.vocab.decode(batch.target_ids[row, :ref_len]))
+            refs.append(layer.vocab.decode(target[:n]))
     summary = {
         "loss": float(np.mean(losses)),
         "token_accuracy": float(np.mean(accs)),
@@ -121,6 +125,27 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int
         log.append(MetricsRow(**{**base, "loss": None}, metric_name="wer",
                               metric_value=summary["wer"]))
     return summary
+
+
+def _infer_lines(model: Seq2SeqModel, lines: list[list[int]], batch_size: int,
+                 max_len: int) -> list[list[int]]:
+    """Greedy decodes of the id sequences, in input order.
+
+    Lines of one length are decoded together, up to ``batch_size`` at a
+    time, so that no batch holds padding.
+    """
+    order = sorted(range(len(lines)), key=lambda i: len(lines[i]))
+    outputs: list[list[int]] = [[] for _ in lines]
+    for _, same in itertools.groupby(order, key=lambda i: len(lines[i])):
+        same = list(same)
+        for k in range(0, len(same), batch_size):
+            group = same[k:k + batch_size]
+            ids = np.array([lines[i] for i in group], dtype=np.int64)
+            decoded = model.greedy_decode(ids, np.ones(ids.shape, dtype=np.float32),
+                                          max_len=max_len)
+            for i, out in zip(group, decoded):
+                outputs[i] = out
+    return outputs
 
 
 def _train_in_process(config: Config, mode: str, enable_logs: bool) -> RunResult:
@@ -283,17 +308,13 @@ def run(config: Config, mode: str, *, enable_logs: bool = False,
     load_checkpoint(config.checkpoint_dir, replica)
     vocab = replica.data.vocab
     with open(infer_input, encoding="utf-8") as f:
-        lines = [line.split() for line in f.read().splitlines()]
-    outputs = []
+        lines = [vocab.encode(line.split()) for line in f.read().splitlines()]
     t0 = time.perf_counter()
-    for tokens in lines:
-        ids = np.array([vocab.encode(tokens)], dtype=np.int64)
-        mask = np.ones_like(ids, dtype=np.float32)
-        decoded = replica.model.greedy_decode(ids, mask, max_len=config.infer_max_len)
-        outputs.append(" ".join(vocab.decode(decoded[0])))
+    outputs = _infer_lines(replica.model, lines, config.batch_size_per_gpu,
+                          config.infer_max_len)
     with open(infer_output, "w", encoding="utf-8", newline="\n") as f:
-        for line in outputs:
-            f.write(line + "\n")
+        for ids in outputs:
+            f.write(" ".join(vocab.decode(ids)) + "\n")
     if enable_logs:
         print(f"decoded {len(lines)} sequences in {time.perf_counter() - t0:.2f}s", flush=True)
     return RunResult(0, artifacts={"infer_output": infer_output},

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -81,15 +82,20 @@ def test_c01_fp16_exhaustive_exactness():
 
 
 def _fd_grad(f, x, step=1e-3):
+    """Fourth-order central differences: the O(step**2) error of the plain
+    two-point difference is as large as the near-zero gradients it checks."""
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:
         i = it.multi_index
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (f(xp) - f(xm)) / (2 * step)
+
+        def at(offset):
+            shifted = x.copy()
+            shifted[i] += offset
+            return f(shifted)
+
+        g[i] = (8 * (at(step) - at(-step)) - (at(2 * step) - at(-2 * step))) / (12 * step)
         it.iternext()
     return g
 
@@ -164,11 +170,13 @@ def test_c02_gradient_correctness_all_primitives():
 
     worst = 0.0
     for name, (build, shadow, shapes) in cases.items():
-        rng = np.random.default_rng(hash(name) % 2 ** 31)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(20):
             params = {k: rng.uniform(-1.2, 1.2, size=s) for k, s in shapes.items()}
             if name == "relu":  # keep points away from the kink
                 params["x"] = np.sign(params["x"]) * (np.abs(params["x"]) + 0.1)
+            # difference at the FP32-rounded point that the tape sees
+            params = {k: v.astype(np.float32).astype(np.float64) for k, v in params.items()}
             tape = Tape("float32")
             leaves = {k: tape.leaf(Variable(k, Tensor.from_array(v))) for k, v in params.items()}
             loss = build(tape, leaves)
@@ -494,8 +502,8 @@ def test_c08_distributed_equivalence():
             from miniseq.blocks import make_batch
             examples = []
             for r in range(k):
-                shard = base.shard(r, k)
-                examples.extend(shard.example(step * per_worker + j)
+                # example i of shard r is example r + k*i of the base stream
+                examples.extend(base.example(r + k * (step * per_worker + j))
                                 for j in range(per_worker))
             return make_batch(examples, base.vocab.size)
 

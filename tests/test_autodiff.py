@@ -536,3 +536,42 @@ class TestConstantOperand:
         assert g_h is None and ref_h is not None
         assert np.array_equal(g_u.f32().view(np.uint32), ref_u.f32().view(np.uint32))
         assert set(backward(tape, 1.0)) == {"u"}
+
+
+class TestNoRecordTape:
+    @staticmethod
+    def every_op(tape, rng):
+        """One call of every Tape op, on fixed random inputs; their outputs."""
+        def leaf(name, *shape):
+            return tape.leaf(Variable(name, Tensor.from_array(
+                rng.uniform(-2, 2, size=shape), tape.model_dtype)))
+
+        a, b, x = leaf("a", 3, 4), leaf("b", 4, 4), leaf("x", 3, 4)
+        q, s, logits = leaf("q", 3, 4), leaf("s", 3, 5, 4), leaf("logits", 3, 2, 6)
+        mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=np.float32)
+        weights = tape.attn_weights(tape.attn_scores(q, s), mask)
+        return [
+            tape.matmul(a, b), tape.matmul(tape.constant(x), b), tape.add(a, x),
+            tape.bias_add(x, leaf("bias", 4)), tape.mul(a, x), tape.scale(x, 0.37),
+            tape.tanh(x), tape.sigmoid(x), tape.relu(x),
+            tape.embedding_gather(b, np.array([[0, 3], [2, 2]])),
+            tape.concat_last_axis(a, x), tape.stack_steps([a, x]),
+            tape.attn_scores(q, s), weights, tape.attn_context(weights, s),
+            tape.softmax_cross_entropy_with_mask(
+                logits, np.array([[1, 5], [0, 2], [3, 3]]),
+                np.array([[1, 1], [1, 0], [1, 1]], dtype=np.float32)),
+            tape.reduce_mean(x), tape.reduce_sum(x),
+        ]
+
+    @pytest.mark.parametrize("mode", ["float32", "mixed"])
+    def test_same_bits_and_nothing_recorded(self, mode):
+        recording, idle = Tape(mode), Tape(mode, record=False)
+        want = self.every_op(recording, np.random.default_rng(8))
+        got = self.every_op(idle, np.random.default_rng(8))
+        assert len(recording.ops) == len(want) + 1  # attn_weights' scores
+        assert idle.ops == []
+        for w, g in zip(want, got):
+            assert g.dtype is w.dtype and g.shape == w.shape
+            assert g.data.tobytes() == w.data.tobytes()
+        with pytest.raises(ValueError, match="empty tape"):
+            backward(idle, 1.0)

@@ -6,6 +6,7 @@ import pytest
 from miniseq.autodiff import Tape, backward
 from miniseq.blocks import (
     BOS_ID,
+    Batch,
     DATA_LAYERS,
     DECODERS,
     ENCODERS,
@@ -33,6 +34,44 @@ def small_spec(**kw):
         **kw,
     )
     return spec
+
+
+def loop_greedy_decode(model, source_ids, source_mask, max_len):
+    """Row-by-row greedy decoding on a recording tape, as a reference."""
+    tape = Tape(model.mode)
+    params = {name: tape.leaf(v) for name, v in model.variables.items()}
+    b = source_ids.shape[0]
+    rep = model.encoder.encode(tape, params, Batch(
+        source_ids, source_mask.astype(np.float32), source_mask.sum(axis=1).astype(np.int64),
+        np.zeros((b, 1), dtype=np.int64), np.ones((b, 1), dtype=np.float32)))
+    h = model.decoder.initial_state(tape, b)
+    prev = np.full(b, BOS_ID, dtype=np.int64)
+    done = [False] * b
+    outputs = [[] for _ in range(b)]
+    for _ in range(max_len):
+        x = tape.embedding_gather(params["dec/emb"], prev)
+        h = model.decoder._cell(tape, params, x, h)
+        ids = np.argmax(model.decoder._step_logits(tape, params, rep, h).f32(), axis=-1)
+        for i in range(b):
+            if not done[i]:
+                if ids[i] == EOS_ID:
+                    done[i] = True
+                else:
+                    outputs[i].append(int(ids[i]))
+        if all(done):
+            break
+        prev = ids
+    return outputs
+
+
+def eos_biased_model(mode, eos_bias):
+    """A model whose output bias favours eos alone, so that rows stop early."""
+    model = Seq2SeqModel(small_spec(dtype=mode), vocab_size=16, seed=3)
+    value = model.variables["dec/b_out"].value
+    b_out = np.zeros(value.shape, dtype=np.float32)
+    b_out[EOS_ID] = eos_bias
+    model.variables["dec/b_out"].value = Tensor.from_array(b_out, value.dtype)
+    return model
 
 
 class TestVocabulary:
@@ -86,7 +125,9 @@ class TestDataLayers:
         base = [layer.example(i) for i in range(2 * window)]
         seen = []
         for w, s in enumerate(shards):
-            got = [s.example(i) for i in range(window)]
+            batch = s.batch(0, window)
+            got = [(src, tgt[:-1]) for src, tgt in zip(batch.source_ids.tolist(),
+                                                       batch.target_ids.tolist())]
             assert got == base[w::2][:window]
             seen.extend(got)
         # disjoint + full coverage of the window
@@ -104,14 +145,16 @@ class TestDataLayers:
             [8, 5, 15, 9, 11, 13, 6, 4],
             [7, 6, 9, 5, 15, 12, 15, 12]]
 
-    @pytest.mark.parametrize("layer", [
-        CopyTask(vocab_size=16, seq_len=8, seed=3),
-        ReverseTask(vocab_size=16, seq_len=8, seed=3),
-        ReverseTask(vocab_size=16, seq_len=8, seed=3).shard(2, 4),
+    @pytest.mark.parametrize("task, shard", [
+        (CopyTask(vocab_size=16, seq_len=8, seed=3), (0, 1)),
+        (ReverseTask(vocab_size=16, seq_len=8, seed=3), (0, 1)),
+        (ReverseTask(vocab_size=16, seq_len=8, seed=3), (2, 4)),
     ], ids=["copy", "reverse", "reverse-shard-2-of-4"])
-    def test_take_equals_per_example_make_batch(self, layer):
-        fast = layer.batch(3, 8)
-        slow = make_batch([layer.example(3 * 8 + j) for j in range(8)], layer.vocab.size)
+    def test_take_equals_per_example_make_batch(self, task, shard):
+        r, k = shard  # shard r of k takes examples r + k*i of the base stream
+        fast = task.shard(r, k).batch(3, 8)
+        slow = make_batch([task.example(r + k * (3 * 8 + j)) for j in range(8)],
+                          task.vocab.size)
         for name in ("source_ids", "source_mask", "source_lengths", "target_ids",
                      "target_mask"):
             got, want = getattr(fast, name), getattr(slow, name)
@@ -445,6 +488,43 @@ class TestModel:
         batch = layer.batch(0, 2)
         outs = model.greedy_decode(batch.source_ids, batch.source_mask, max_len=5)
         assert outs == [[], []]
+
+    @pytest.mark.parametrize("mode", ["float32", "mixed"])
+    @pytest.mark.parametrize("eos_bias, max_len", [(0.5, 6), (0.5, 3), (100.0, 5)],
+                             ids=["rows-stop-apart", "max-len-cuts", "all-eos-first"])
+    def test_greedy_decode_equals_row_loop(self, mode, eos_bias, max_len):
+        model = eos_biased_model(mode, eos_bias)
+        batch = CopyTask(vocab_size=16, seq_len=5, seed=1).batch(0, 16)
+        outs = model.greedy_decode(batch.source_ids, batch.source_mask, max_len=max_len)
+        assert outs == loop_greedy_decode(model, batch.source_ids, batch.source_mask, max_len)
+        lengths = {len(o) for o in outs}
+        if eos_bias == 100.0:
+            assert lengths == {0}
+        else:  # rows end at different steps, and some only at the bound
+            assert len(lengths) > 2 and max(lengths) == max_len
+
+    @pytest.mark.parametrize("mode", ["float32", "mixed"])
+    def test_greedy_decode_reuses_the_given_encoding(self, mode, tmp_path):
+        src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+        src.write_text("a b c\nc\nb a\n", encoding="utf-8")
+        tgt.write_text("c b a\nc\na b\n", encoding="utf-8")
+        layer = ParallelText(str(src), str(tgt))
+        model = Seq2SeqModel(small_spec(dtype=mode), vocab_size=layer.vocab.size, seed=2)
+        batch = layer.batch(0, 3)  # padded: the sources have 3, 1 and 2 tokens
+        _, _, rep = model.teacher_forced(Tape(model.mode, record=False), batch)
+        again = model.greedy_decode(batch.source_ids, batch.source_mask, max_len=6)
+        reused = model.greedy_decode(batch.source_ids, batch.source_mask, max_len=6, rep=rep)
+        assert reused == again
+
+    def test_teacher_forced_on_a_tape_that_records_nothing(self):
+        model = Seq2SeqModel(small_spec(dtype="mixed"), vocab_size=16, seed=0)
+        batch = CopyTask(vocab_size=16, seq_len=4, seed=0).batch(0, 4)
+        loss, tape = model.forward(batch)
+        idle = Tape(model.mode, record=False)
+        idle_loss, logits, _ = model.teacher_forced(idle, batch)
+        assert idle.ops == []
+        assert idle_loss.data.tobytes() == loss.data.tobytes()
+        assert logits.data.tobytes() == tape.ops[-1].inputs[0].data.tobytes()
 
     def test_greedy_ties_break_to_lowest_id(self):
         model = Seq2SeqModel(small_spec(), vocab_size=16, seed=0)

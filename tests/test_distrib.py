@@ -253,9 +253,9 @@ class TestWorkerGroups:
                 from miniseq.blocks import make_batch
                 examples = []
                 for r in range(k):
-                    shard = base.shard(r, k)
+                    # example i of shard r is example r + k*i of the base stream
                     start = step * per_worker
-                    examples.extend(shard.example(start + j) for j in range(per_worker))
+                    examples.extend(base.example(r + k * (start + j)) for j in range(per_worker))
                 return make_batch(examples, base.vocab.size)
 
         single.data = Concatenated()

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 import os
 import socket
 import subprocess
@@ -38,6 +39,60 @@ def reference_bleu(hypotheses, references):
     log_p = sum(math.log(m / t) for m, t in zip(match, total)) / 4
     bp = 1.0 if hyp_len > ref_len else math.exp(1 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_p)
+
+
+def oracle_bleu(hypotheses, references):
+    """Corpus BLEU sentence by sentence with Counters, in the float formula
+    that metrics.bleu4 must reproduce exactly."""
+    matched, total = [0] * 4, [0] * 4
+    hyp_len = sum(len(h) for h in hypotheses)
+    ref_len = sum(len(r) for r in references)
+    for hyp, ref in zip(hypotheses, references):
+        for n in range(1, 5):
+            hyp_counts = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
+            ref_counts = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+            total[n - 1] += max(len(hyp) - n + 1, 0)
+            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    if hyp_len == 0 or any(m == 0 for m in matched):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / 4.0
+    brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
+    return 100.0 * brevity * math.exp(log_precision)
+
+
+def oracle_wer(hypotheses, references):
+    """Word error rate from one Levenshtein table per sentence pair."""
+    edits = 0
+    for hyp, ref in zip(hypotheses, references):
+        previous = list(range(len(ref) + 1))
+        for i, tok_h in enumerate(hyp, start=1):
+            current = [i] + [0] * len(ref)
+            for j, tok_r in enumerate(ref, start=1):
+                current[j] = min(previous[j] + 1, current[j - 1] + 1,
+                                 previous[j - 1] + (tok_h != tok_r))
+            previous = current
+        edits += previous[len(ref)]
+    return 100.0 * edits / sum(len(r) for r in references)
+
+
+def random_corpus(rng, pairs, vocab_size, max_len):
+    """References of 1..max_len tokens, and hypotheses made from them by random
+    deletions, substitutions and repeats; about one in ten is empty."""
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    hyps, refs = [], []
+    for _ in range(pairs):
+        ref = [vocab[i] for i in rng.integers(0, vocab_size, size=rng.integers(1, max_len + 1))]
+        hyp = []
+        for tok in ref:
+            u = rng.random()
+            if u < 0.15:
+                continue
+            hyp.append(vocab[rng.integers(vocab_size)] if u < 0.3 else tok)
+            if u > 0.9:
+                hyp.append(tok)
+        hyps.append([] if rng.random() < 0.1 else hyp)
+        refs.append(ref)
+    return hyps, refs
 
 
 def base_config(tmp_path, **kw):
@@ -171,6 +226,32 @@ class TestBleu:
             bleu4([["a"]], [[]])
         with pytest.raises(ValueError):
             bleu4([["a"]], [["a"], ["b"]])
+
+
+class TestMetricsEqualOracles:
+    @pytest.mark.parametrize("pairs, vocab_size, max_len", [
+        (1, 3, 5), (5, 2, 3), (40, 4, 9), (200, 12, 14), (300, 500, 6)])
+    def test_bleu_and_wer_equal_the_sentence_loops(self, pairs, vocab_size, max_len):
+        rng = np.random.default_rng(pairs * 1000 + vocab_size)
+        for _ in range(10):
+            hyps, refs = random_corpus(rng, pairs, vocab_size, max_len)
+            assert bleu4(hyps, refs) == oracle_bleu(hyps, refs)
+            assert wer(hyps, refs) == oracle_wer(hyps, refs)
+
+    def test_hand_cases_equal_the_sentence_loops(self):
+        cases = [
+            ([["a", "a", "a", "a", "a"]], [["a", "a", "b", "a"]]),  # clipping
+            ([[], ["x"], ["a", "b"]], [["a"], ["x", "y", "z"], ["b", "a"]]),  # short, empty
+            ([list("abcdabcd"), list("abc")], [list("abcd"), list("abcabcabc")]),
+            ([list("the cat")], [list("the cat")]),
+            ([[]], [["a", "b", "c"]]),
+        ]
+        for hyps, refs in cases:
+            assert bleu4(hyps, refs) == oracle_bleu(hyps, refs)
+            assert wer(hyps, refs) == oracle_wer(hyps, refs)
+        # a non-zero score with every n-gram order matched, and clipped 1-grams
+        hyps, refs = [list("abcdeabcde")], [list("abcdefgh")]
+        assert 0.0 < bleu4(hyps, refs) == oracle_bleu(hyps, refs) < 100.0
 
 
 class TestWer:
@@ -433,6 +514,39 @@ class TestRunModes:
         result = run(cfg, "infer", infer_input=str(inp), infer_output=str(out))
         assert result.status == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+    def per_line_decodes(self, cfg, lines):
+        replica = build_replica(cfg, 0, 1)
+        load_checkpoint(cfg.checkpoint_dir, replica)
+        vocab = replica.data.vocab
+        out = []
+        for line in lines:
+            ids = np.array([vocab.encode(line.split())], dtype=np.int64)
+            decoded = replica.model.greedy_decode(ids, np.ones(ids.shape, dtype=np.float32),
+                                                  max_len=cfg.infer_max_len)
+            out.append(" ".join(vocab.decode(decoded[0])))
+        return out
+
+    @pytest.mark.parametrize("fixture", ["reverse-eval-200", "mixed-lengths"])
+    def test_infer_batches_equal_per_line_decoding(self, tmp_path, fixture):
+        if fixture == "reverse-eval-200":  # the held-out lines of the CLI acceptance test
+            cfg = base_config(tmp_path, data_layer="reverse_task", max_steps=40,
+                              data_layer_params={"vocab_size": 16, "seq_len": 8, "seed": 12},
+                              batch_size_per_gpu=32, infer_max_len=12)
+            layer = DATA_LAYERS["reverse_task"](vocab_size=16, seq_len=8, seed=12,
+                                                 split="eval")
+            lines = [" ".join(layer.vocab.decode(layer.example(i)[0])) for i in range(200)]
+        else:  # lengths 1..9 in random order; batches of 3 split each length group
+            cfg = base_config(tmp_path, max_steps=40, batch_size_per_gpu=3, infer_max_len=10)
+            rng = np.random.default_rng(6)
+            lines = [" ".join(str(t) for t in rng.integers(4, 12, size=rng.integers(1, 10)))
+                     for _ in range(60)]
+        run(cfg, "train")
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run(cfg, "infer", infer_input=str(inp), infer_output=str(out))
+        assert result.summary == {"sequences": len(lines)}
+        assert out.read_text(encoding="utf-8").splitlines() == self.per_line_decodes(cfg, lines)
 
     def test_mixed_config_selects_policy(self, tmp_path):
         cfg = base_config(tmp_path, dtype="mixed", loss_scaling="LogMax", max_steps=3)
