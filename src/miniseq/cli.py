@@ -4,8 +4,8 @@
                 [--num_workers N] [--use_allreduce true|false] [--enable_logs]
                 [--infer_input PATH --infer_output PATH]
 
-Also runnable as `python -m miniseq.cli`. The hidden --worker_rank flag is
-how the TCP launcher re-enters itself inside each worker process.
+Also runnable as `python -m miniseq.cli`. The flags override the config file,
+which is validated once here; a TCP run's worker processes get that Config.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a per-step text log while training")
     p.add_argument("--infer_input", default=None, help="input file for infer mode")
     p.add_argument("--infer_output", default=None, help="output file for infer mode")
-    p.add_argument("--worker_rank", type=int, default=None, help=argparse.SUPPRESS)
     return p
 
 
@@ -50,21 +49,14 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    overrides: list[str] = []
     if args.num_workers is not None:
         config.num_workers = args.num_workers
-        overrides += ["--num_workers", str(args.num_workers)]
     if args.use_allreduce is not None:
         config.use_allreduce = args.use_allreduce
-        overrides += ["--use_allreduce", str(args.use_allreduce).lower()]
-    if args.enable_logs:
-        overrides += ["--enable_logs"]
     try:
         config.validate()
         result = run(config, args.mode, enable_logs=args.enable_logs,
-                     infer_input=args.infer_input, infer_output=args.infer_output,
-                     config_path=args.config_file, worker_rank=args.worker_rank,
-                     cli_overrides=overrides)
+                     infer_input=args.infer_input, infer_output=args.infer_output)
     except (ConfigError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

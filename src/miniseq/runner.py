@@ -2,22 +2,22 @@
 
 A run is described by a Config; this module builds the worker group, drives
 the step loop, logs metrics, and handles checkpoints. With the TCP transport
-the runner launches one OS process per worker (each re-reads the config and
-joins the ring); with the in-process transport the ranks run on a thread pool
-and take turns (see distrib.WorkerGroup).
+the runner spawns one OS process per worker, each given the caller's Config,
+and the ranks join the ring; with the in-process transport the ranks run on a
+thread pool and take turns (see distrib.WorkerGroup).
 """
 
 from __future__ import annotations
 
 import fnmatch
 import itertools
+import multiprocessing
 import os
-import queue
-import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 
@@ -81,17 +81,14 @@ def _eval_layer(config: Config) -> DataLayer:
     return DATA_LAYERS[config.data_layer](**{**config.data_layer_params, "split": "eval"})
 
 
-def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int,
-             layer: DataLayer | None = None) -> dict:
-    """Teacher-forced loss/accuracy plus greedy BLEU/WER on the eval split.
+def evaluate(config: Config, replica: Replica, log: MetricsLog, step: int,
+             layer: DataLayer) -> dict:
+    """Teacher-forced loss/accuracy plus greedy BLEU/WER on the eval split
+    ``layer``, appended to ``log`` as the eval rows of ``step``.
 
     Both passes run on tapes that record nothing, and greedy decoding reuses
     the encoding of the teacher-forced pass, so each batch is encoded once.
-    A run that evaluates more than once passes the eval ``layer`` it built
-    once; without one, this call builds it.
     """
-    if layer is None:
-        layer = _eval_layer(config)
     losses, accs = [], []
     hyps, refs = [], []
     model = replica.model
@@ -113,17 +110,16 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog | None, step: int
         "wer": wer(hyps, refs) if refs else 0.0,
         "exact_match": float(np.mean([h == r for h, r in zip(hyps, refs)])) if refs else 0.0,
     }
-    if log is not None:
-        epoch = _epoch(config, step, layer.examples_per_epoch)
-        base = dict(step=step, epoch=epoch, split="eval", loss=summary["loss"], lr=None,
-                    loss_scale=replica.scale, grad_norm=None, skipped=False,
-                    tokens_per_sec=None)
-        log.append(MetricsRow(**base, metric_name="token_accuracy",
-                              metric_value=summary["token_accuracy"]))
-        log.append(MetricsRow(**{**base, "loss": None}, metric_name="bleu",
-                              metric_value=summary["bleu"]))
-        log.append(MetricsRow(**{**base, "loss": None}, metric_name="wer",
-                              metric_value=summary["wer"]))
+    epoch = _epoch(config, step, layer.examples_per_epoch)
+    base = dict(step=step, epoch=epoch, split="eval", loss=summary["loss"], lr=None,
+                loss_scale=replica.scale, grad_norm=None, skipped=False,
+                tokens_per_sec=None)
+    log.append(MetricsRow(**base, metric_name="token_accuracy",
+                          metric_value=summary["token_accuracy"]))
+    log.append(MetricsRow(**{**base, "loss": None}, metric_name="bleu",
+                          metric_value=summary["bleu"]))
+    log.append(MetricsRow(**{**base, "loss": None}, metric_name="wer",
+                          metric_value=summary["wer"]))
     return summary
 
 
@@ -132,11 +128,13 @@ def _infer_lines(model: Seq2SeqModel, lines: list[list[int]], batch_size: int,
     """Greedy decodes of the id sequences, in input order.
 
     Lines of one length are decoded together, up to ``batch_size`` at a
-    time, so that no batch holds padding.
+    time, so that no batch holds padding. An empty line decodes to nothing.
     """
     order = sorted(range(len(lines)), key=lambda i: len(lines[i]))
     outputs: list[list[int]] = [[] for _ in lines]
-    for _, same in itertools.groupby(order, key=lambda i: len(lines[i])):
+    for length, same in itertools.groupby(order, key=lambda i: len(lines[i])):
+        if length == 0:
+            continue
         same = list(same)
         for k in range(0, len(same), batch_size):
             group = same[k:k + batch_size]
@@ -187,7 +185,9 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
     whole group for the logged tokens per second."""
     examples_per_epoch = rank0.data.examples_per_epoch
     summary: dict = {}
-    layer = None
+    # built before step 0, so that a missing eval split fails before training
+    evaluating = mode == "train_eval" and config.eval_every > 0 and log is not None
+    layer = _eval_layer(config) if evaluating else None
     for step in range(start_step, config.max_steps):
         m = run_step(step)
         if log is not None:
@@ -201,11 +201,8 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
                 print(f"step {step} loss {m.loss:.6f} scale {m.scale:g} "
                       f"{'applied' if m.applied else 'skipped'}", flush=True)
         summary["loss"] = m.loss
-        if mode == "train_eval" and config.eval_every > 0 and (step + 1) % config.eval_every == 0:
-            if log is not None:
-                if layer is None:
-                    layer = _eval_layer(config)
-                summary.update(evaluate(config, rank0, log, step, layer))
+        if evaluating and (step + 1) % config.eval_every == 0:
+            summary.update(evaluate(config, rank0, log, step, layer))
     return summary
 
 
@@ -229,27 +226,31 @@ def _train_tcp_worker(config: Config, mode: str, rank: int, enable_logs: bool) -
     return RunResult(0)
 
 
-def _spawn_tcp_workers(config_path: str, mode: str, overrides: list[str],
-                       num_workers: int) -> RunResult:
-    """Launch one process per rank; the first non-zero exit stops the others.
+def _spawn_tcp_workers(config: Config, mode: str, enable_logs: bool) -> RunResult:
+    """Start one process per rank on ``config``; the first non-zero exit stops
+    the others, and the rank that failed first is the one named.
 
-    A thread per process waits on it, so exits arrive in the order they
-    happen and the rank that failed first is the one named.
+    The processes are spawned, not forked: the launching process may hold
+    threads (the in-process pool, a test runner's) whose locks a forked
+    child would inherit.
     """
-    procs = []
-    exits: queue.Queue = queue.Queue()
+    context = multiprocessing.get_context("spawn")
+    procs = [context.Process(target=_train_tcp_worker, name=f"miniseq-rank-{rank}",
+                             args=(config, mode, rank, enable_logs))
+             for rank in range(config.num_workers)]
     try:
-        for rank in range(num_workers):
-            cmd = [sys.executable, "-m", "miniseq.cli", "--config_file", config_path,
-                   "--mode", mode, "--worker_rank", str(rank)] + overrides
-            procs.append(subprocess.Popen(cmd))
-            threading.Thread(target=lambda r, p: exits.put((r, p.wait())),
-                             args=(rank, procs[-1]), daemon=True).start()
-        for _ in range(num_workers):
-            rank, code = exits.get()
-            if code != 0:
-                break
-        else:
+        for p in procs:
+            p.start()
+        running = {p.sentinel: rank for rank, p in enumerate(procs)}
+        code = 0
+        while running and code == 0:
+            for sentinel in wait(list(running)):
+                rank = running.pop(sentinel)
+                procs[rank].join()
+                code = procs[rank].exitcode
+                if code != 0:
+                    break
+        if code == 0:
             return RunResult(0)
     finally:
         _stop(procs)
@@ -260,43 +261,41 @@ def _spawn_tcp_workers(config_path: str, mode: str, overrides: list[str],
                      summary={"failed_rank": rank, "error": message})
 
 
-def _stop(procs: list[subprocess.Popen], grace: float = 5.0) -> None:
+def _stop(procs: list[BaseProcess], grace: float = 5.0) -> None:
     """Terminate the processes still running, then kill any that outlive ``grace``."""
-    for p in procs:
-        if p.poll() is None:
-            p.terminate()
+    # a failed start() leaves the later ranks unstarted
+    started = [p for p in procs if p.pid is not None]
+    for p in started:
+        p.terminate()  # a no-op on a process already joined
     deadline = time.monotonic() + grace
-    for p in procs:
-        try:
-            p.wait(timeout=max(0.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
+    for p in started:
+        p.join(max(0.0, deadline - time.monotonic()))
+        if p.is_alive():
             p.kill()
-            p.wait()
+            p.join()
 
 
 def run(config: Config, mode: str, *, enable_logs: bool = False,
-        infer_input: str | None = None, infer_output: str | None = None,
-        config_path: str | None = None, worker_rank: int | None = None,
-        cli_overrides: list[str] | None = None) -> RunResult:
-    """Execute one run mode; returns exit status plus artifact paths."""
+        infer_input: str | None = None, infer_output: str | None = None) -> RunResult:
+    """Execute one run mode; returns exit status plus artifact paths.
+
+    A TCP training run spawns its ranks, which import the caller's main
+    module: a script that calls this must guard its entry point with
+    ``if __name__ == "__main__"``.
+    """
     if mode not in RUN_MODES:
         raise ValueError(f"mode must be one of {RUN_MODES}")
 
     if mode in ("train", "train_eval"):
         if config.transport == "tcp" and config.num_workers > 1:
-            if worker_rank is not None:
-                return _train_tcp_worker(config, mode, worker_rank, enable_logs)
-            if config_path is None:
-                raise ValueError("tcp training needs the config file path to spawn workers")
-            return _spawn_tcp_workers(config_path, mode, cli_overrides or [],
-                                      config.num_workers)
+            return _spawn_tcp_workers(config, mode, enable_logs)
         return _train_in_process(config, mode, enable_logs)
 
     if mode == "eval":
         replica = build_replica(config, 0, 1)
         manifest = load_checkpoint(config.checkpoint_dir, replica)
         log = MetricsLog()
-        summary = evaluate(config, replica, log, int(manifest["step"]))
+        summary = evaluate(config, replica, log, int(manifest["step"]), _eval_layer(config))
         metrics_path = os.path.join(config.checkpoint_dir, METRICS_FILE["eval"])
         log.write_csv(metrics_path)
         return RunResult(0, artifacts={"metrics_csv": metrics_path}, summary=summary)

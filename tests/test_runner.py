@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+import multiprocessing
 import os
 import socket
 import subprocess
@@ -13,7 +14,9 @@ import pytest
 
 from miniseq import runner
 from miniseq.blocks import DATA_LAYERS, CopyTask
-from miniseq.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from miniseq.checkpoint import (CheckpointError, checkpoint_exists, load_checkpoint,
+                                save_checkpoint)
+from miniseq.distrib import WorkerGroup
 from miniseq.config import Config, ConfigError, load_config, parse_config
 from miniseq.metrics import CSV_HEADER, MetricsLog, MetricsRow, bleu4, wer
 from miniseq.runner import build_replica, evaluate, run
@@ -487,6 +490,24 @@ class TestRunModes:
         assert evaluated == [9, 19, 29]
         assert built.count("eval") == 1
 
+    def test_missing_eval_split_fails_before_the_first_step(self, tmp_path, monkeypatch):
+        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src.write_text("a b c\nd e\n", encoding="utf-8")
+        tgt.write_text("c b a\ne d\n", encoding="utf-8")
+        cfg = base_config(
+            tmp_path, data_layer="parallel_text",
+            data_layer_params={"source_file": str(src), "target_file": str(tgt)},
+            max_steps=6, eval_every=3, batch_size_per_gpu=2)
+        steps = []
+        real_run_step = WorkerGroup.run_step
+        monkeypatch.setattr(WorkerGroup, "run_step",
+                            lambda self, step: steps.append(step) or real_run_step(self, step))
+        with pytest.raises(ValueError, match="eval_source_file"):
+            run(cfg, "train_eval")
+        assert steps == []
+        assert not os.path.exists(os.path.join(cfg.checkpoint_dir, "metrics.csv"))
+        assert not checkpoint_exists(cfg.checkpoint_dir)
+
     def test_eval_requires_checkpoint(self, tmp_path):
         cfg = base_config(tmp_path)
         with pytest.raises(CheckpointError):
@@ -514,6 +535,18 @@ class TestRunModes:
         result = run(cfg, "infer", infer_input=str(inp), infer_output=str(out))
         assert result.status == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_infer_decodes_an_empty_line_to_an_empty_line(self, tmp_path):
+        cfg = base_config(tmp_path, max_steps=20)
+        run(cfg, "train")
+        lines = ["4 5", "", "6 7"]
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run(cfg, "infer", infer_input=str(inp), infer_output=str(out))
+        assert result.summary == {"sequences": 3}
+        decoded = out.read_text(encoding="utf-8").splitlines()
+        assert decoded[1] == ""
+        assert [decoded[0], decoded[2]] == self.per_line_decodes(cfg, ["4 5", "6 7"])
 
     def per_line_decodes(self, cfg, lines):
         replica = build_replica(cfg, 0, 1)
@@ -639,48 +672,51 @@ def _free_ports(n):
     return ports
 
 
-def test_tcp_launch_stops_the_group_and_names_a_killed_rank(tmp_path, monkeypatch, capfd):
+def test_tcp_run_from_the_python_api_matches_in_process(tmp_path):
+    """run() starts a TCP group from a Config alone, with no config file, and
+    writes the same weights.bin bytes as the in-process ring."""
+    common = dict(max_steps=6, eval_every=0, num_workers=2, use_allreduce=True)
+    tcp = base_config(tmp_path, **common, transport="tcp",
+                      worker_addresses=[f"127.0.0.1:{p}" for p in _free_ports(2)],
+                      checkpoint_dir=str(tmp_path / "tcp"))
+    in_process = base_config(tmp_path, **common, checkpoint_dir=str(tmp_path / "in_process"))
+    assert run(tcp, "train").status == 0
+    assert run(in_process, "train").status == 0
+    assert ((tmp_path / "tcp" / "weights.bin").read_bytes()
+            == (tmp_path / "in_process" / "weights.bin").read_bytes())
+
+
+def test_tcp_launch_stops_the_group_and_names_a_killed_rank(tmp_path, capfd):
     """Kill rank 1 of a 3-process TCP run mid-training: the launcher must stop
     ranks 0 and 2 and return non-zero within seconds, naming rank 1."""
     cfg = base_config(tmp_path, max_steps=1_000_000, eval_every=0, num_workers=3,
                       use_allreduce=True, transport="tcp",
                       worker_addresses=[f"127.0.0.1:{p}" for p in _free_ports(3)])
-    cfg_path = tmp_path / "tcp.json"
-    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
-    procs = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, cmd, **kw):
-            if cmd[cmd.index("--worker_rank") + 1] == "0":
-                kw["stdout"] = subprocess.PIPE  # rank 0 prints one line per step
-            super().__init__(cmd, **kw)
-            procs.append(self)
-
-    monkeypatch.setattr(runner.subprocess, "Popen", Recorded)
-    killed_at = []
+    ranks, killed_at = [], []
 
     def kill_rank_1_after_step_3():
         deadline = time.monotonic() + 120
-        while len(procs) < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        with procs[0].stdout as rank0_out:
-            for line in rank0_out:
-                if line.startswith(b"step 3 "):
-                    procs[1].kill()
-                    killed_at.append(time.monotonic())
-                    break
-            rank0_out.read()  # drain until rank 0 exits
+        out = ""
+        while "step 3 " not in out:  # rank 0 prints one line per step
+            if time.monotonic() > deadline:
+                return
+            time.sleep(0.02)
+            out += capfd.readouterr().out
+        ranks.extend(p for p in multiprocessing.active_children()
+                     if p.name.startswith("miniseq-rank-"))
+        next(p for p in ranks if p.name == "miniseq-rank-1").kill()
+        killed_at.append(time.monotonic())
 
     killer = threading.Thread(target=kill_rank_1_after_step_3, daemon=True)
     killer.start()
-    result = run(cfg, "train", config_path=str(cfg_path), cli_overrides=["--enable_logs"])
+    result = run(cfg, "train", enable_logs=True)
     returned_at = time.monotonic()
     killer.join(timeout=10)
     assert killed_at, "rank 0 never reached step 3"
     assert returned_at - killed_at[0] < 10.0
     assert result.status != 0
     assert result.summary["failed_rank"] == 1
-    assert all(p.poll() is not None for p in procs)
+    assert len(ranks) == 3 and all(p.exitcode is not None for p in ranks)
     assert "worker rank 1 exited" in capfd.readouterr().err
 
 
