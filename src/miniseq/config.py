@@ -12,10 +12,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from .autodiff import MODES
-from .blocks import DATA_LAYERS, DECODERS, ENCODERS, LOSSES
-from .mixed_precision import SCALE_POLICIES, RegularizerRegistry
-from .optim import LR_POLICY_KINDS, OPTIMIZER_KINDS
+from .blocks import DATA_LAYERS, DECODERS, ENCODERS, ModelSpec
+from .mixed_precision import RegularizerRegistry, dynamic_scale_policy
+from .optim import LRPolicy, Optimizer
 
 
 class ConfigError(ValueError):
@@ -61,23 +60,11 @@ class Config:
             raise ConfigError("batch_size_per_gpu must be >= 1")
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
-        if self.dtype not in MODES:
-            raise ConfigError(f"dtype must be one of {MODES}, got {self.dtype!r}")
+        if self.eval_batches < 1:
+            raise ConfigError("eval_batches must be >= 1")
         if self.loss_scale is not None and self.loss_scaling is not None:
             raise ConfigError("'loss_scale' (static) and 'loss_scaling' (dynamic) are "
                               "mutually exclusive")
-        if self.loss_scaling is not None and self.loss_scaling.lower() not in SCALE_POLICIES:
-            raise ConfigError(f"unknown loss_scaling {self.loss_scaling!r}")
-        if self.optimizer_kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr_policy not in LR_POLICY_KINDS:
-            raise ConfigError(f"unknown lr_policy {self.lr_policy!r}")
-        if self.encoder not in ENCODERS:
-            raise ConfigError(f"unknown encoder {self.encoder!r}")
-        if self.decoder not in DECODERS:
-            raise ConfigError(f"unknown decoder {self.decoder!r}")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
         if self.data_layer not in DATA_LAYERS:
             raise ConfigError(f"unknown data_layer {self.data_layer!r}")
         if self.transport not in _TRANSPORTS:
@@ -94,11 +81,27 @@ class Config:
                 raise ConfigError(f"unknown regularizer kind {reg.get('kind')!r}")
             if "pattern" not in reg or "lambda" not in reg:
                 raise ConfigError("regularizer entries need 'pattern' and 'lambda'")
+        # each part checks its own kind and params; the data layer may read files,
+        # so runner.build_replica checks its params when it builds it
+        spec = self.model_spec()
+        for key, build in (
+                ("model", spec.validate),
+                ("encoder", lambda: ENCODERS[self.encoder](**self.encoder_params)),
+                ("decoder", lambda: DECODERS[self.decoder](**self.decoder_params)),
+                ("optimizer", lambda: Optimizer(self.optimizer, **self.optimizer_params)),
+                ("lr_policy", lambda: LRPolicy(self.lr_policy, **self.lr_policy_params)),
+                ("loss_scaling", lambda: self.loss_scaling is None or dynamic_scale_policy(
+                    self.loss_scaling, self.loss_scaling_params))):
+            try:
+                build()
+            except (TypeError, ValueError, KeyError) as e:
+                raise ConfigError(f"{key}: {e}") from e
         return self
 
-    @property
-    def optimizer_kind(self) -> str:
-        return self.optimizer.lower()
+    def model_spec(self) -> ModelSpec:
+        return ModelSpec(encoder=self.encoder, encoder_params=dict(self.encoder_params),
+                         decoder=self.decoder, decoder_params=dict(self.decoder_params),
+                         loss=self.loss, dtype=self.dtype)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

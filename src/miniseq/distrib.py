@@ -3,10 +3,10 @@
 A WorkerGroup runs K replicas over disjoint data shards. In allreduce mode
 every worker owns a full replica and the group agrees on each step through
 two collectives: a flag-OR (did anyone overflow?) and a ring allreduce of
-the unscaled FP32 gradients. In tower mode a single process steps all
-replicas against one shared parameter store. Both modes average the same
-rank-order sum (rank_order_sum) of the flattened gradients and update
-through the same Replica.apply, so they end with bit-identical weights.
+the unscaled FP32 gradients. In tower mode a single process steps K towers
+that share rank 0's parameter store (see WorkerGroup). Both modes average
+the same rank-order sum (rank_order_sum) of the flattened gradients and
+update through the same Replica.apply, so they end with bit-identical weights.
 
 In-process allreduce ranks run on a thread pool that the group creates on
 its first step, and they take turns: a rank computes only while it holds the
@@ -25,9 +25,9 @@ buys bit-reproducible results: every worker's reduced vector equals tower's.
 Wire format (both transports): [length: u32 LE][tag: u8][payload], where
 tag 0 = tensor chunk, 1 = flag, 2 = control. Payloads of the ring
 collectives start [step: u32][origin rank: u32]. Tensor chunk:
-[step][origin][dtype byte (DType.code)][count: u32][raw little-endian
-elements]; flag: [step][origin][flag: u8]. Each rank sends K-1 frames per
-collective, to the next rank only.
+[step][origin][count: u32][FP32 little-endian elements]; flag:
+[step][origin][flag: u8]. Each rank sends K-1 frames per collective, to the
+next rank only.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ TAG_CONTROL = 2
 
 _ORIGIN = struct.Struct("<II")  # [step][origin rank], the head of every ring payload
 _FLAG = struct.Struct("<IIB")
+_CHUNK = struct.Struct("<III")  # [step][origin][count]
 
 
 class TransportError(RuntimeError):
@@ -89,18 +90,16 @@ def unframe(message) -> tuple[int, memoryview]:
     return tag, view[5:]
 
 
-def chunk_payload(step: int, origin: int, dtype: DType, arr: np.ndarray) -> bytes:
-    raw = np.ascontiguousarray(arr).astype(dtype.wire, copy=False).tobytes()
-    return struct.pack("<IIBI", step, origin, dtype.code, arr.size) + raw
+def chunk_payload(step: int, origin: int, arr: np.ndarray) -> bytes:
+    return _CHUNK.pack(step, origin, arr.size) + arr.astype("<f4", copy=False).tobytes()
 
 
-def parse_chunk(payload) -> tuple[int, int, DType, np.ndarray]:
-    step, origin, code, count = struct.unpack_from("<IIBI", payload)
-    dtype = DType.from_code(code)
-    arr = np.frombuffer(payload, dtype=dtype.wire, offset=13)
+def parse_chunk(payload) -> tuple[int, int, np.ndarray]:
+    step, origin, count = _CHUNK.unpack_from(payload)
+    arr = np.frombuffer(payload, dtype="<f4", offset=_CHUNK.size)
     if arr.size != count:
         raise TransportError(f"chunk payload carries {arr.size} elements, header says {count}")
-    return step, origin, dtype, arr
+    return step, origin, arr
 
 
 class InProcessTransport:
@@ -340,29 +339,23 @@ def ring_allgather(transport, rank: int, num_workers: int, tag: int, payload: by
 
 def ring_allreduce(transport, rank: int, num_workers: int, vector: np.ndarray,
                    step: int = 0) -> np.ndarray:
-    """Elementwise sum across workers; every worker returns identical bytes.
+    """Elementwise FP32 sum across workers; every worker returns identical bytes.
 
-    Accepts float32 or float16 vectors. Every worker gathers all K vectors,
-    adds them with rank_order_sum in FP32 and stores the sum in the payload
-    dtype.
+    Every worker gathers all K float32 vectors and adds them with
+    rank_order_sum. Any other dtype is refused.
     """
-    vector = np.ascontiguousarray(vector)
-    if vector.dtype == np.float16:
-        dtype = DType.F16
-    elif vector.dtype == np.float32:
-        dtype = DType.F32
-    else:
-        raise TypeError(f"unsupported reduce dtype {vector.dtype}")
+    if vector.dtype != np.float32:
+        raise TypeError(f"ring_allreduce reduces float32 vectors, not {vector.dtype}")
     if num_workers == 1:
         return vector.copy()
     payloads = ring_allgather(transport, rank, num_workers, TAG_TENSOR_CHUNK,
-                              chunk_payload(step, rank, dtype, vector), step)
-    parts = [parse_chunk(p)[3] for p in payloads]
+                              chunk_payload(step, rank, vector), step)
+    parts = [parse_chunk(p)[2] for p in payloads]
     for origin, part in enumerate(parts):
         if part.size != vector.size:
             raise TransportError(f"mismatched lengths: rank {origin} sent {part.size} "
                                  f"elements, rank {rank} has {vector.size}")
-    return rank_order_sum(parts).astype(vector.dtype)
+    return rank_order_sum(parts)
 
 
 def allreduce_flag_or(transport, rank: int, num_workers: int, flag: bool,
@@ -470,11 +463,11 @@ class Replica:
         return h.hexdigest()
 
     def copy_parameters_from(self, other: "Replica"):
-        """Take ``other``'s working and master weights and its loss-scale state."""
-        for name, v in other.model.variables.items():
-            self.model.variables[name].value = v.value
-        self.state.master = dict(other.state.master)
-        self.state.scale_state.load_dict(other.state.scale_state.to_dict())
+        """Share ``other``'s variables, master weights, loss-scale state and
+        regularizer registry: from then on an update to either replica is an
+        update to both. The data shard, bucket and grad_tap stay this one's."""
+        self.model.variables = other.model.variables
+        self.state = other.state
 
 
 def distributed_train_step(replica: Replica, transport, rank: int, num_workers: int,
@@ -495,24 +488,21 @@ def distributed_train_step(replica: Replica, transport, rank: int, num_workers: 
 
 
 def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
-    """Single-process aggregation: every replica's backward, then the
-    rank-order sum of their flattened grads averaged and applied once to
-    rank 0, whose weights and scale state the other replicas copy."""
+    """Single-process aggregation over towers that share one parameter store:
+    every tower's backward, then the rank-order sum of their flattened grads
+    averaged and applied once, or on any overflow one back-off of the scale."""
     t0 = time.perf_counter()
     results = [r.forward_backward(step) for r in replicas]
     losses = [loss for _, loss, _, _, _ in results]
     tokens = sum(tok for *_, tok in results)
     mean_loss = float(np.mean(losses))
     if not all(finite for _, _, _, finite, _ in results):
-        for r in replicas:
-            r.on_overflow()
+        replicas[0].on_overflow()
         return StepMetrics(step, mean_loss, False, replicas[0].scale, None, None,
                            tokens, time.perf_counter() - t0)
     summed = rank_order_sum([r.bucket.flatten(r.unscale(grads))
                              for r, (_, _, grads, _, _) in zip(replicas, results)])
     grad_norm, lr = replicas[0].apply_mean(summed, len(replicas), step)
-    for r in replicas[1:]:
-        r.copy_parameters_from(replicas[0])
     return StepMetrics(step, mean_loss, True, replicas[0].scale, grad_norm, lr,
                        tokens, time.perf_counter() - t0)
 
@@ -539,12 +529,16 @@ class WorkerGroup:
     transport (see InProcessTransport) and meet in the ring collectives.
     close() stops the threads, and so does dropping the group: a pool thread
     runs the module-level _rank_step and holds no reference to the group.
-    mode "tower" steps all replicas sequentially against a shared store.
+    mode "tower" makes replicas 1..K-1 share rank 0's parameter store once,
+    here, and steps the K towers in the calling thread (tower_train_step).
     """
 
     def __init__(self, replicas: list[Replica], mode: str = "allreduce"):
         if mode not in ("allreduce", "tower"):
             raise ValueError(f"unknown group mode {mode!r}")
+        if mode == "tower":
+            for r in replicas[1:]:
+                r.copy_parameters_from(replicas[0])
         self.replicas = replicas
         self.mode = mode
         self.num_workers = len(replicas)

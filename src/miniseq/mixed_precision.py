@@ -179,15 +179,19 @@ def make_scale_policy(dtype_mode: str, loss_scale: float | None, loss_scaling: s
                       params: dict | None = None) -> LossScaleState:
     """Map config keys to a policy: static number, or "Backoff"/"LogMax";
     FP32 ("float32") always trains at static scale 1."""
-    params = dict(params or {})
     if dtype_mode != "mixed":
         return StaticScale(1.0)
     if loss_scaling is None:
         return StaticScale(scale=loss_scale if loss_scale is not None else 1.0)
-    policy = SCALE_POLICIES.get(loss_scaling.lower())
+    return dynamic_scale_policy(loss_scaling, params)
+
+
+def dynamic_scale_policy(name: str, params: dict | None = None) -> LossScaleState:
+    """The ``loss_scaling`` policy called ``name`` (any case), built from ``params``."""
+    policy = SCALE_POLICIES.get(name.lower())
     if policy is None:
-        raise ValueError(f"unknown loss_scaling {loss_scaling!r}")
-    return policy(**params)
+        raise ValueError(f"unknown loss_scaling {name!r}")
+    return policy(**(params or {}))
 
 
 class MixedPrecisionState:

@@ -51,6 +51,7 @@ class Optimizer:
 
     def __init__(self, kind: str = "sgd", momentum: float = 0.9,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+        kind = kind.lower()  # config files write "Adam"
         if kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {kind!r}")
         self.kind = kind

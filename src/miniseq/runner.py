@@ -22,9 +22,9 @@ from multiprocessing.process import BaseProcess
 import numpy as np
 
 from .autodiff import Tape
-from .blocks import DATA_LAYERS, DataLayer, ModelSpec, Seq2SeqModel, token_accuracy
+from .blocks import DATA_LAYERS, DataLayer, Seq2SeqModel, token_accuracy
 from .checkpoint import checkpoint_exists, load_checkpoint, save_checkpoint
-from .config import RUN_MODES, Config
+from .config import RUN_MODES, Config, ConfigError
 from .distrib import (
     InProcessTransport,
     Replica,
@@ -48,16 +48,13 @@ class RunResult:
 
 def build_replica(config: Config, rank: int, num_workers: int) -> Replica:
     """One worker's full stack from the config; identical seeds across ranks."""
-    spec = ModelSpec(
-        encoder=config.encoder, encoder_params=dict(config.encoder_params),
-        decoder=config.decoder, decoder_params=dict(config.decoder_params),
-        loss=config.loss,
-        dtype=config.dtype,
-    )
-    data = DATA_LAYERS[config.data_layer](**config.data_layer_params)
-    model = Seq2SeqModel(spec, vocab_size=data.vocab.size, seed=config.seed)
+    try:
+        data = DATA_LAYERS[config.data_layer](**config.data_layer_params)
+    except TypeError as e:
+        raise ConfigError(f"data_layer_params: {e}") from e
+    model = Seq2SeqModel(config.model_spec(), vocab_size=data.vocab.size, seed=config.seed)
     shard = data.shard(rank, num_workers)
-    optimizer = Optimizer(config.optimizer_kind, **config.optimizer_params)
+    optimizer = Optimizer(config.optimizer, **config.optimizer_params)
     lr_policy = LRPolicy(config.lr_policy, **config.lr_policy_params)
     scale_state = make_scale_policy(config.dtype, config.loss_scale,
                                     config.loss_scaling, config.loss_scaling_params)
@@ -110,7 +107,7 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog, step: int,
         "wer": wer(hyps, refs) if refs else 0.0,
         "exact_match": float(np.mean([h == r for h, r in zip(hyps, refs)])) if refs else 0.0,
     }
-    epoch = _epoch(config, step, layer.examples_per_epoch)
+    epoch = _epoch(config, step, replica.data.examples_per_epoch)
     base = dict(step=step, epoch=epoch, split="eval", loss=summary["loss"], lr=None,
                 loss_scale=replica.scale, grad_norm=None, skipped=False,
                 tokens_per_sec=None)

@@ -82,17 +82,11 @@ class TestWireFormat:
 
     def test_chunk_payload_round_trip(self):
         arr = np.array([1.5, -2.0], dtype=np.float32)
-        payload = chunk_payload(3, 1, DType.F32, arr)
-        step, origin, dtype, back = parse_chunk(payload)
-        assert (step, origin, dtype) == (3, 1, DType.F32)
+        payload = chunk_payload(3, 1, arr)
+        step, origin, back = parse_chunk(payload)
+        assert (step, origin) == (3, 1)
         assert np.array_equal(back, arr)
-
-    def test_chunk_payload_f16(self):
-        arr = np.array([0.5], dtype=np.float16)
-        payload = chunk_payload(0, 2, DType.F16, arr)
-        _, _, dtype, back = parse_chunk(payload)
-        assert dtype is DType.F16
-        assert back.dtype.str == "<f2"
+        assert len(payload) == 12 + 4 * arr.size  # [step][origin][count], no dtype byte
 
 
 class TestRingAllreduce:
@@ -126,14 +120,11 @@ class TestRingAllreduce:
         for x, y in zip(a, b):
             assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
 
-    def test_f16_payload_fp32_accumulation(self):
-        # 3 half-precision vectors of 1024: F16 pairwise addition would stall,
-        # FP32 accumulation at the finalizer is exact
-        vecs = [np.full(4, 1024.0, dtype=np.float16) for _ in range(3)]
-        results = run_collective(3, lambda tr, r: ring_allreduce(tr, r, 3, vecs[r]))
-        for out in results:
-            assert out.dtype == np.float16
-            assert np.all(out.astype(np.float32) == 3072.0)
+    def test_float16_is_refused(self):
+        v = np.ones(4, dtype=np.float16)
+        for k in (1, 2):
+            with pytest.raises(TypeError, match="float32"):
+                ring_allreduce(InProcessTransport(k), 0, k, v)
 
     def test_mismatched_lengths_detected(self):
         def fn(tr, r):
@@ -165,7 +156,7 @@ class TestAllgatherChecks:
     ], ids=["tag", "step", "origin"])
     def test_forged_frame_names_expected_and_received(self, tag, step, origin, match):
         vec = np.ones(4, dtype=np.float32)
-        forged = frame(tag, chunk_payload(step, origin, DType.F32, vec))
+        forged = frame(tag, chunk_payload(step, origin, vec))
         with pytest.raises(TransportError, match=match):
             ring_allreduce(ForgedTransport(forged), 1, 3, vec, step=5)
 
@@ -173,7 +164,7 @@ class TestAllgatherChecks:
         # rank 1 of 3 takes rank 0's frame at the first hop; the same frame
         # arriving again at the second hop is not rank 2's
         vec = np.ones(4, dtype=np.float32)
-        replayed = frame(TAG_TENSOR_CHUNK, chunk_payload(5, 0, DType.F32, vec))
+        replayed = frame(TAG_TENSOR_CHUNK, chunk_payload(5, 0, vec))
         with pytest.raises(TransportError, match=r"expected rank 2, got rank 0"):
             ring_allreduce(ForgedTransport(replayed), 1, 3, vec, step=5)
 
@@ -326,6 +317,42 @@ class TestWorkerGroups:
         after = group.run_step(3)
         assert after.applied
 
+    def test_tower_replicas_share_one_store_from_construction(self, monkeypatch):
+        calls = []
+        share = Replica.copy_parameters_from
+        monkeypatch.setattr(Replica, "copy_parameters_from",
+                            lambda self, other: calls.append(self) or share(self, other))
+        replicas = [small_replica(r, 4, mode="mixed") for r in range(4)]
+        group = WorkerGroup(replicas, mode="tower")
+        assert calls == replicas[1:]
+        for r in replicas:
+            assert r.model.variables is replicas[0].model.variables
+            assert r.state is replicas[0].state
+        for s in range(3):
+            assert group.run_step(s).applied
+        assert calls == replicas[1:]  # no step copies anything
+        assert len({r.data for r in replicas}) == 4
+        assert len({r.bucket for r in replicas}) == 4
+
+    def test_tower_overflow_backs_the_shared_scale_off_once(self):
+        k = 4
+        replicas = [small_replica(r, k, mode="mixed", scale_state=BackoffScale(scale=2.0 ** 15))
+                    for r in range(k)]
+
+        def tap(step, grads):
+            name = min(grads)
+            return {**grads, name: Tensor.from_array(np.full(grads[name].shape, np.inf),
+                                                     DType.F16)}
+
+        replicas[1].grad_tap = tap
+        group = WorkerGroup(replicas, mode="tower")
+        before = group.parameter_digests()
+        metrics = group.run_step(0)
+        assert not metrics.applied
+        assert metrics.scale == 2.0 ** 14
+        assert {r.scale for r in replicas} == {2.0 ** 14}
+        assert group.parameter_digests() == before
+
     def test_mixed_mode_replicas_stay_identical(self):
         k = 2
         replicas = [small_replica(r, k, mode="mixed",
@@ -334,6 +361,30 @@ class TestWorkerGroups:
         for s in range(5):
             group.run_step(s)
             assert len(set(group.parameter_digests())) == 1
+
+
+def test_benchmark_model_allreduce_step_traffic():
+    # the benchmark's reverse-k4-allreduce model: 15,504 trainable floats.
+    # Per step each of 4 ranks sends 3 flag frames (5 + 9 bytes) and 3 chunk
+    # frames (5 + 12 + 4 * 15,504 bytes)
+    cfg = parse_config(json.dumps({
+        "data_layer": "reverse_task",
+        "data_layer_params": {"vocab_size": 16, "seq_len": 8, "seed": 1},
+        "encoder_params": {"layers": 1, "hidden": 64, "emb_size": 32},
+        "decoder_params": {"hidden": 64, "emb_size": 32},
+        "batch_size_per_gpu": 8, "num_workers": 4, "use_allreduce": True}))
+    group = WorkerGroup([runner.build_replica(cfg, r, 4) for r in range(4)])
+    assert group.replicas[0].bucket.total == 15_504
+    sent = []
+    send = group.transport.send
+    group.transport.send = lambda src, dst, message: sent.append(len(message)) or send(
+        src, dst, message)
+    try:
+        assert group.run_step(0).applied
+    finally:
+        group.close()
+    assert len(sent) == 24
+    assert sum(sent) == 744_564
 
 
 class TestTurn:

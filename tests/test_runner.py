@@ -175,6 +175,39 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps({"batch_size_per_gpu": 0}))
 
+    def test_eval_batches_validated(self):
+        # no eval batch would average an empty list into NaN metrics
+        with pytest.raises(ConfigError, match="eval_batches must be >= 1"):
+            parse_config(json.dumps({"eval_batches": 0}))
+
+    @pytest.mark.parametrize("key,doc,typo", [
+        ("optimizer_params", {"optimizer": "momentum", "optimizer_params": {"momentun": 0.5}},
+         "momentun"),
+        ("lr_policy_params", {"lr_policy_params": {"learning_rat": 0.1}}, "learning_rat"),
+        ("loss_scaling_params", {"dtype": "mixed", "loss_scaling": "Backoff",
+                                 "loss_scaling_params": {"growth_intervall": 10}},
+         "growth_intervall"),
+        ("encoder_params", {"encoder_params": {"hiden": 8}}, "hiden"),
+        ("decoder_params", {"decoder_params": {"emb": 8}}, "emb"),
+        ("data_layer_params", {"data_layer_params": {"vocab_sise": 12}}, "vocab_sise"),
+    ])
+    def test_misspelt_params_key_is_a_config_error(self, key, doc, typo):
+        if key == "data_layer_params":
+            # the data layer may read files, so it is built with the replica
+            cfg = parse_config(json.dumps(doc))
+            with pytest.raises(ConfigError, match=f"{key}: .*'{typo}'"):
+                build_replica(cfg, 0, 1)
+        else:
+            with pytest.raises(ConfigError, match=f"'{typo}'"):
+                parse_config(json.dumps(doc))
+
+    def test_params_values_checked_at_parse_time(self):
+        for doc in ({"lr_policy_params": {"learning_rate": -1.0}},
+                    {"encoder_params": {"hidden": 0}},
+                    {"dtype": "float16"}, {"loss": "hinge"}, {"decoder": "transformer"}):
+            with pytest.raises(ConfigError):
+                parse_config(json.dumps(doc))
+
 
 class TestBleu:
     def test_identity_corpus_scores_100(self):
@@ -508,6 +541,33 @@ class TestRunModes:
         assert not os.path.exists(os.path.join(cfg.checkpoint_dir, "metrics.csv"))
         assert not checkpoint_exists(cfg.checkpoint_dir)
 
+    def test_eval_rows_carry_the_epoch_of_their_train_step(self, tmp_path):
+        # 10 training pairs and 3 eval pairs: the epoch counts training
+        # examples, not eval ones
+        pairs = [(f"a{i} b", f"b a{i}") for i in range(10)]
+        files = {}
+        for name, lines in (("src", [p[0] for p in pairs]), ("tgt", [p[1] for p in pairs]),
+                            ("eval_src", [p[0] for p in pairs[:3]]),
+                            ("eval_tgt", [p[1] for p in pairs[:3]])):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = base_config(
+            tmp_path, data_layer="parallel_text",
+            data_layer_params={"source_file": str(files["src"]),
+                               "target_file": str(files["tgt"]),
+                               "eval_source_file": str(files["eval_src"]),
+                               "eval_target_file": str(files["eval_tgt"])},
+            max_steps=10, eval_every=5, eval_batches=1, batch_size_per_gpu=2)
+        result = run(cfg, "train_eval")
+        with open(result.artifacts["metrics_csv"], encoding="utf-8") as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        train_epoch = {int(r[0]): r[1] for r in rows if r[2] == "train"}
+        eval_rows = [r for r in rows if r[2] == "eval"]
+        assert [int(r[0]) for r in eval_rows] == [4] * 3 + [9] * 3
+        assert [train_epoch[4], train_epoch[9]] == ["1", "2"]
+        for r in eval_rows:
+            assert r[1] == train_epoch[int(r[0])]
+
     def test_eval_requires_checkpoint(self, tmp_path):
         cfg = base_config(tmp_path)
         with pytest.raises(CheckpointError):
@@ -652,6 +712,17 @@ class TestCli:
             capture_output=True, text=True, timeout=120)
         assert r.returncode == 0, r.stderr
         assert "step 0" in r.stdout
+
+    def test_cli_reports_a_misspelt_params_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"optimizer": "momentum",
+                                        "optimizer_params": {"momentun": 0.5}}),
+                            encoding="utf-8")
+        from miniseq.cli import main
+        assert main(["--config_file", str(cfg_path), "--mode", "train"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: optimizer: ") and "'momentun'" in err
+        assert "Traceback" not in err
 
     def test_cli_eval_without_checkpoint_fails(self, tmp_path):
         cfg_path = tmp_path / "c.json"
