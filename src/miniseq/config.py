@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from .blocks import DATA_LAYERS, DECODERS, ENCODERS, ModelSpec
 from .mixed_precision import RegularizerRegistry, dynamic_scale_policy
-from .optim import LRPolicy, Optimizer
+from .optim import LR_POLICY_PARAMS, OPTIMIZER_PARAMS, LRPolicy, Optimizer
 
 
 class ConfigError(ValueError):
@@ -65,6 +65,10 @@ class Config:
         if self.loss_scale is not None and self.loss_scaling is not None:
             raise ConfigError("'loss_scale' (static) and 'loss_scaling' (dynamic) are "
                               "mutually exclusive")
+        if self.loss_scale is not None and self.loss_scale <= 0:
+            raise ConfigError(f"loss_scale must be positive, got {self.loss_scale}")
+        if self.loss_scaling_params and self.loss_scaling is None:
+            raise ConfigError("loss_scaling_params are read only with a dynamic loss_scaling")
         if self.data_layer not in DATA_LAYERS:
             raise ConfigError(f"unknown data_layer {self.data_layer!r}")
         if self.transport not in _TRANSPORTS:
@@ -96,6 +100,13 @@ class Config:
                 build()
             except (TypeError, ValueError, KeyError) as e:
                 raise ConfigError(f"{key}: {e}") from e
+        # the constructors accept every kind's keywords, so one kind's key passes another
+        for key, kind, params, reads in (
+                ("optimizer", self.optimizer.lower(), self.optimizer_params, OPTIMIZER_PARAMS),
+                ("lr_policy", self.lr_policy, self.lr_policy_params, LR_POLICY_PARAMS)):
+            unread = sorted(set(params) - set(reads[kind]))
+            if unread:
+                raise ConfigError(f"{key}: {kind!r} does not read {key}_params {unread}")
         return self
 
     def model_spec(self) -> ModelSpec:

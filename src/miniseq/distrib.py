@@ -12,8 +12,9 @@ In-process allreduce ranks run on a thread pool that the group creates on
 its first step, and they take turns: a rank computes only while it holds the
 transport's turn, a lock that the rank's recv gives up while it waits for a
 frame, so one thread runs Python at a time instead of K threads contending
-for the GIL. That buys no parallelism; one OS process per rank over
-TcpTransport is the path to using more than one core.
+for the GIL. That buys no parallelism, so the pool's threads share one CPU
+and a hand-off wakes the next rank on a warm core, not a cold idle one; one
+OS process per rank over TcpTransport is the path to using more than one core.
 
 The ring is an allgather: in K-1 exchanges each rank passes the frame it
 received last to the next rank, so every rank ends with all K contributions
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import queue
 import socket
 import struct
@@ -521,12 +523,22 @@ def _rank_step(replica: Replica, transport: InProcessTransport, rank: int,
             raise
 
 
+def _pin_thread(cpu: int):
+    """Pool initializer: bind the calling thread (only, on Linux) to ``cpu``, if allowed."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass
+
+
 class WorkerGroup:
     """K replicas stepping in lockstep inside one process.
 
     mode "allreduce" with K > 1 runs each step's K ranks on a pool of K
     threads, created on the first step, that take turns on the in-process
     transport (see InProcessTransport) and meet in the ring collectives.
+    The pool's threads are pinned to the caller's lowest allowed CPU, as
+    one rank runs at a time anyway; the caller's thread stays unpinned.
     close() stops the threads, and so does dropping the group: a pool thread
     runs the module-level _rank_step and holds no reference to the group.
     mode "tower" makes replicas 1..K-1 share rank 0's parameter store once,
@@ -561,7 +573,10 @@ class WorkerGroup:
         if self.transport.aborted:
             raise TransportError(f"step {step}: the group was aborted by an earlier failure")
         if self._pool is None:
-            self._pool = ThreadPoolExecutor(self.num_workers, thread_name_prefix="miniseq-worker")
+            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
+            pin = {"initializer": _pin_thread, "initargs": (min(cpus),)} if len(cpus) > 1 else {}
+            self._pool = ThreadPoolExecutor(self.num_workers, thread_name_prefix="miniseq-worker",
+                                            **pin)
         t0 = time.perf_counter()
         futures = [self._pool.submit(_rank_step, replica, self.transport, rank,
                                      self.num_workers, step)

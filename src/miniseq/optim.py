@@ -12,8 +12,11 @@ import numpy as np
 
 from .tensor import DType, Tensor
 
-OPTIMIZER_KINDS = ("sgd", "momentum", "adam")
-LR_POLICY_KINDS = ("constant", "exp_decay")
+# each kind and the keyword arguments it reads; config.validate rejects the others
+OPTIMIZER_PARAMS = {"sgd": (), "momentum": ("momentum",),
+                    "adam": ("beta1", "beta2", "epsilon")}
+LR_POLICY_PARAMS = {"constant": ("learning_rate",),
+                    "exp_decay": ("learning_rate", "decay_rate", "decay_steps", "staircase")}
 
 
 class ContractViolation(RuntimeError):
@@ -23,7 +26,7 @@ class ContractViolation(RuntimeError):
 class LRPolicy:
     def __init__(self, kind: str = "constant", learning_rate: float = 1e-3,
                  decay_rate: float = 1.0, decay_steps: int = 1000, staircase: bool = False):
-        if kind not in LR_POLICY_KINDS:
+        if kind not in LR_POLICY_PARAMS:
             raise ValueError(f"unknown lr_policy {kind!r}")
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
@@ -52,7 +55,7 @@ class Optimizer:
     def __init__(self, kind: str = "sgd", momentum: float = 0.9,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
         kind = kind.lower()  # config files write "Adam"
-        if kind not in OPTIMIZER_KINDS:
+        if kind not in OPTIMIZER_PARAMS:
             raise ValueError(f"unknown optimizer {kind!r}")
         self.kind = kind
         self.momentum = float(momentum)

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import sys
 import threading
 import time
@@ -467,6 +468,12 @@ class TestSingleCopyFp32:
             self.assert_master_is_weights(replica)
 
 
+PINS_POOL = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the pool pins its threads only where os.sched_setaffinity exists "
+           "and this process may run on more than one CPU")
+
+
 class TestWorkerPool:
     """In-process allreduce workers: persistent threads taking turns."""
 
@@ -583,6 +590,53 @@ class TestWorkerPool:
         with pytest.raises(TransportError, match="aborted"):
             group.run_step(2)
         assert time.perf_counter() - t0 < 2.0
+        group.close()
+
+    @PINS_POOL
+    def test_every_rank_runs_on_the_callers_lowest_cpu(self):
+        k, steps = 4, 3
+        replicas = [small_replica(r, k) for r in range(k)]
+        seen = []
+
+        def tap(step, grads):  # runs on the rank's pool thread
+            seen.append((threading.get_ident(), os.sched_getaffinity(0)))
+            return grads
+
+        for r in replicas:
+            r.grad_tap = tap
+        group = WorkerGroup(replicas, mode="allreduce")
+        try:
+            for s in range(steps):
+                group.run_step(s)
+        finally:
+            group.close()
+        assert len({ident for ident, _ in seen}) == k
+        assert [cpus for _, cpus in seen] == [{min(os.sched_getaffinity(0))}] * (k * steps)
+
+    @PINS_POOL
+    def test_callers_affinity_survives_step_and_close(self):
+        before = os.sched_getaffinity(0)
+        group = WorkerGroup([small_replica(r, 4) for r in range(4)], mode="allreduce")
+        group.run_step(0)
+        assert os.sched_getaffinity(0) == before
+        group.close()
+        assert os.sched_getaffinity(0) == before
+
+    def test_group_steps_where_affinity_cannot_be_set(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        groups = [WorkerGroup([small_replica(r, 4) for r in range(4)], mode=mode)
+                  for mode in ("tower", "allreduce")]
+        for s in range(3):
+            for group in groups:
+                group.run_step(s)
+        groups[1].close()
+        assert groups[1].parameter_digests() == groups[0].parameter_digests()
+
+    def test_one_worker_starts_no_thread(self):
+        start = threading.active_count()
+        group = WorkerGroup([small_replica(0, 1)], mode="allreduce")
+        group.run_step(0)
+        assert threading.active_count() == start
         group.close()
 
     @pytest.mark.parametrize("mode,k", [("allreduce", 1), ("allreduce", 4), ("tower", 4)])

@@ -149,6 +149,23 @@ class TestConfig:
             parse_config(json.dumps(
                 {"dtype": "mixed", "loss_scale": 8.0, "loss_scaling": "Backoff"}))
 
+    @pytest.mark.parametrize("scale", [-4.0, 0.0])
+    def test_non_positive_static_scale_rejected(self, scale):
+        # caught at parse time, before a TCP launch spawns any rank
+        with pytest.raises(ConfigError, match="loss_scale must be positive"):
+            parse_config(json.dumps({"dtype": "mixed", "loss_scale": scale}))
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"optimizer": "sgd", "optimizer_params": {"beta1": 0.5}}, "'beta1'"),
+        ({"optimizer": "Momentum", "optimizer_params": {"epsilon": 1e-6}}, "'epsilon'"),
+        ({"lr_policy": "constant", "lr_policy_params": {"decay_rate": 0.5}}, "'decay_rate'"),
+        ({"dtype": "mixed", "loss_scaling_params": {"growth_interval": 10}},
+         "loss_scaling_params"),
+    ])
+    def test_params_key_the_kind_never_reads_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(json.dumps(doc))
+
     def test_json_error_reports_position(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(b"{broken")
