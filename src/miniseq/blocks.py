@@ -395,7 +395,8 @@ class ModelSpec:
     loss: str = "basic_sequence"
     dtype: str = "float32"
 
-    def validate(self):
+    def validate(self) -> tuple:
+        """Checks the kinds and dtype; returns the built (encoder, decoder, loss)."""
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.decoder not in DECODERS:
@@ -404,18 +405,16 @@ class ModelSpec:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.dtype not in MODES:
             raise ValueError(f"dtype must be one of {MODES}, got {self.dtype!r}")
+        return (ENCODERS[self.encoder](**self.encoder_params),
+                DECODERS[self.decoder](**self.decoder_params), LOSSES[self.loss])
 
 
 class Seq2SeqModel:
     """Encoder/decoder pair with named parameters; one instance per replica."""
 
     def __init__(self, spec: ModelSpec, vocab_size: int, seed: int = 0):
-        spec.validate()
-        self.spec = spec
+        self.encoder, self.decoder, self.loss_fn = spec.validate()
         self.vocab_size = vocab_size
-        self.encoder = ENCODERS[spec.encoder](**spec.encoder_params)
-        self.decoder = DECODERS[spec.decoder](**spec.decoder_params)
-        self.loss_fn = LOSSES[spec.loss]
         self.mode = spec.dtype
         dtype = DType.F16 if spec.dtype == "mixed" else DType.F32
         rng = np.random.default_rng((seed, 0x5EED))

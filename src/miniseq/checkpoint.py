@@ -6,7 +6,9 @@ length-prefixed named-tensor records; a restored parameter is its master cast
 to the parameter's dtype, as after every applied step. manifest.json carries
 the step, a hash of the config that produced the run, and the loss-scale
 state, which is all a resumed run needs to continue bit-identically. The
-``var:`` parameter records that older checkpoints also hold are ignored.
+``var:`` parameter records that older checkpoints also hold are ignored. A
+resume refuses another dtype mode or loss-scale policy kind before it changes
+the replica, with a CheckpointError that names both.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ def _restore(replica: Replica, manifest: dict, tensors: dict[str, Tensor]) -> No
     if manifest["mode"] != replica.model.mode:
         raise CheckpointError(f"checkpoint of a {manifest['mode']!r} model does not match "
                               f"the current {replica.model.mode!r} model")
+    try:
+        replica.state.scale_state.load_dict(manifest["loss_scale_state"])
+    except ValueError as e:
+        raise CheckpointError(str(e)) from e
     for name in replica.state.master:
         master = tensors.get(f"master:{name}")
         var = replica.model.variables[name]
@@ -87,4 +93,3 @@ def _restore(replica: Replica, manifest: dict, tensors: dict[str, Tensor]) -> No
             _, var_name, slot_name = key.split(":", 2)
             replica.optimizer.slots.setdefault(var_name, {})[slot_name] = t.f32().copy()
     replica.optimizer.t = int(manifest["optimizer_t"])
-    replica.state.scale_state.load_dict(manifest["loss_scale_state"])

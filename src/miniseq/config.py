@@ -12,8 +12,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from .blocks import DATA_LAYERS, DECODERS, ENCODERS, ModelSpec
-from .mixed_precision import RegularizerRegistry, dynamic_scale_policy
+from .blocks import DATA_LAYERS, ModelSpec, Seq2SeqModel
+from .mixed_precision import RegularizerRegistry, make_scale_policy
 from .optim import LR_POLICY_PARAMS, OPTIMIZER_PARAMS, LRPolicy, Optimizer
 
 
@@ -62,40 +62,28 @@ class Config:
             raise ConfigError("num_workers must be >= 1")
         if self.eval_batches < 1:
             raise ConfigError("eval_batches must be >= 1")
-        if self.loss_scale is not None and self.loss_scaling is not None:
-            raise ConfigError("'loss_scale' (static) and 'loss_scaling' (dynamic) are "
-                              "mutually exclusive")
-        if self.loss_scale is not None and self.loss_scale <= 0:
-            raise ConfigError(f"loss_scale must be positive, got {self.loss_scale}")
-        if self.loss_scaling_params and self.loss_scaling is None:
-            raise ConfigError("loss_scaling_params are read only with a dynamic loss_scaling")
         if self.data_layer not in DATA_LAYERS:
             raise ConfigError(f"unknown data_layer {self.data_layer!r}")
         if self.transport not in _TRANSPORTS:
             raise ConfigError(f"unknown transport {self.transport!r}")
         if self.transport == "tcp" and len(self.worker_addresses) != self.num_workers:
             raise ConfigError("tcp transport needs one worker address per worker")
+        if self.transport == "tcp" and not self.use_allreduce:
+            raise ConfigError("transport 'tcp' runs allreduce only: it needs use_allreduce true")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
-        for reg in self.regularizers:
-            extra = set(reg) - {"pattern", "kind", "lambda"}
-            if extra:
-                raise ConfigError(f"unknown regularizer keys {sorted(extra)}")
-            if reg.get("kind", RegularizerRegistry.KINDS[0]) not in RegularizerRegistry.KINDS:
-                raise ConfigError(f"unknown regularizer kind {reg.get('kind')!r}")
-            if "pattern" not in reg or "lambda" not in reg:
-                raise ConfigError("regularizer entries need 'pattern' and 'lambda'")
-        # each part checks its own kind and params; the data layer may read files,
-        # so runner.build_replica checks its params when it builds it
+        # each part is checked by the builder the run uses; the data layer may read
+        # files, so runner.build_replica checks its params when it builds it
         spec = self.model_spec()
         for key, build in (
                 ("model", spec.validate),
-                ("encoder", lambda: ENCODERS[self.encoder](**self.encoder_params)),
-                ("decoder", lambda: DECODERS[self.decoder](**self.decoder_params)),
                 ("optimizer", lambda: Optimizer(self.optimizer, **self.optimizer_params)),
                 ("lr_policy", lambda: LRPolicy(self.lr_policy, **self.lr_policy_params)),
-                ("loss_scaling", lambda: self.loss_scaling is None or dynamic_scale_policy(
-                    self.loss_scaling, self.loss_scaling_params))):
+                ("loss_scaling", lambda: make_scale_policy(
+                    self.dtype, self.loss_scale, self.loss_scaling, self.loss_scaling_params)),
+                # the variable names do not depend on the vocabulary size
+                ("regularizers", lambda: self.regularizers and RegularizerRegistry.from_patterns(
+                    self.regularizers, Seq2SeqModel(spec, vocab_size=1).variables))):
             try:
                 build()
             except (TypeError, ValueError, KeyError) as e:

@@ -49,8 +49,8 @@ import numpy as np
 from .autodiff import Tape, backward
 from .blocks import DataLayer, Seq2SeqModel
 from .mixed_precision import (
-    LossScaleState,
     RegularizerRegistry,
+    StaticScale,
     apply_update,
     check_finite_all,
     init_master,
@@ -415,7 +415,7 @@ class Replica:
     """One worker's model, optimizer, precision state, and data shard."""
 
     def __init__(self, model: Seq2SeqModel, data: DataLayer, optimizer: Optimizer,
-                 lr_policy: LRPolicy, scale_state: LossScaleState | None = None,
+                 lr_policy: LRPolicy, scale_state: StaticScale | None = None,
                  registry: RegularizerRegistry | None = None, batch_size: int = 32):
         self.model = model
         self.data = data

@@ -18,6 +18,9 @@ regularizers on. FP32 runs it with scale 1: cast to a tensor's own dtype
 returns that tensor, so the FP32 master is the working weights themselves
 and the refresh does nothing.
 
+make_scale_policy alone reads the loss-scaling config keys, which FP32
+refuses; a policy checkpoints its ``state_fields`` under its ``kind``.
+
 Regularization deliberately never enters the F16 forward loss: a weight-decay
 term like lam * w with lam ~ 1e-5 underflows half precision, so it is applied
 directly to the FP32 gradients instead.
@@ -25,6 +28,7 @@ directly to the FP32 gradients instead.
 
 from __future__ import annotations
 
+import fnmatch
 import math
 from dataclasses import dataclass
 
@@ -59,15 +63,37 @@ class RegularizerRegistry:
             raise ValueError(f"{var_name!r} already registered")
         self.entries.append((var_name, kind, float(coeff)))
 
+    @classmethod
+    def from_patterns(cls, entries: list[dict], variables: dict[str, Variable]):
+        """Registers each config entry for the trainable variables its glob
+        pattern matches; a pattern that matches none is an error too."""
+        registry = cls()
+        for entry in entries:
+            if not {"pattern", "lambda"} <= set(entry) <= {"pattern", "kind", "lambda"}:
+                raise ValueError(f"entry {entry} needs 'pattern' and 'lambda', and may add 'kind'")
+            pattern = entry["pattern"]
+            names = [name for name, var in sorted(variables.items())
+                     if var.trainable and fnmatch.fnmatchcase(name, pattern)]
+            if not names:
+                raise ValueError(f"pattern {pattern!r} matches no trainable variable")
+            for name in names:
+                try:
+                    registry.register(name, entry.get("kind", cls.KINDS[0]), entry["lambda"])
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"pattern {pattern!r}: {e}") from e
+        return registry
 
-class LossScaleState:
-    """Base: a positive scale and reactions to overflow / clean steps."""
+
+class StaticScale:
+    """A fixed positive scale; the dynamic policies override its reactions
+    to overflow and clean steps, and name the fields they checkpoint."""
 
     kind = "static"
+    state_fields = ("scale",)
 
     def __init__(self, scale: float = 1.0, scale_min: float = 1.0, scale_max: float = 2.0 ** 24):
         if scale <= 0:
-            raise ValueError("loss scale must be positive")
+            raise ValueError(f"loss_scale must be positive, got {scale}")
         self.scale = float(scale)
         self.scale_min = float(scale_min)
         self.scale_max = float(scale_max)
@@ -79,20 +105,20 @@ class LossScaleState:
         return self.scale
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "scale": self.scale}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.state_fields}}
 
     def load_dict(self, d: dict) -> None:
-        self.scale = float(d["scale"])
+        if d["kind"] != self.kind:
+            raise ValueError(f"a {d['kind']!r} scale state cannot restore a {self.kind!r} policy")
+        for name in self.state_fields:
+            setattr(self, name, d[name])
 
 
-class StaticScale(LossScaleState):
-    kind = "static"
-
-
-class BackoffScale(LossScaleState):
+class BackoffScale(StaticScale):
     """Halve on overflow (step skipped); double after a clean run of steps."""
 
     kind = "backoff"
+    state_fields = ("scale", "good_steps")
 
     def __init__(self, scale: float = 2.0 ** 15, backoff_factor: float = 2.0,
                  growth_factor: float = 2.0, growth_interval: int = 200,
@@ -115,15 +141,8 @@ class BackoffScale(LossScaleState):
             self.good_steps = 0
         return self.scale
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "scale": self.scale, "good_steps": self.good_steps}
 
-    def load_dict(self, d: dict) -> None:
-        self.scale = float(d["scale"])
-        self.good_steps = int(d["good_steps"])
-
-
-class LogMaxScale(LossScaleState):
+class LogMaxScale(StaticScale):
     """Scale from running statistics of the largest gradient magnitude.
 
     Tracks an exponential moving mean/variance of log2(max-abs unscaled
@@ -134,6 +153,7 @@ class LogMaxScale(LossScaleState):
     """
 
     kind = "logmax"
+    state_fields = ("scale", "mean", "var")
 
     def __init__(self, scale: float = 2.0 ** 15, decay: float = 0.99, margin: int = 2,
                  scale_min: float = 1.0, scale_max: float = 2.0 ** 24):
@@ -162,54 +182,44 @@ class LogMaxScale(LossScaleState):
         self.scale = 2.0 ** min(max(exponent, lo), hi)
         return self.scale
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "scale": self.scale, "mean": self.mean, "var": self.var}
-
-    def load_dict(self, d: dict) -> None:
-        self.scale = float(d["scale"])
-        self.mean = d["mean"]
-        self.var = float(d["var"])
-
-
-# The dynamic ``loss_scaling`` policies by lower-cased config name.
-SCALE_POLICIES = {"backoff": BackoffScale, "logmax": LogMaxScale}
-
 
 def make_scale_policy(dtype_mode: str, loss_scale: float | None, loss_scaling: str | None,
-                      params: dict | None = None) -> LossScaleState:
-    """Map config keys to a policy: static number, or "Backoff"/"LogMax";
-    FP32 ("float32") always trains at static scale 1."""
+                      params: dict | None = None) -> StaticScale:
+    """The one reader of the loss-scaling config keys: a static ``loss_scale``
+    (1 by default) or a dynamic ``loss_scaling`` ("Backoff"/"LogMax", any case)
+    built from ``params``; FP32 ("float32") refuses all three."""
     if dtype_mode != "mixed":
-        return StaticScale(1.0)
+        if loss_scale is not None or loss_scaling is not None or params:
+            raise ValueError("float32 reads no loss_scale, loss_scaling or loss_scaling_params")
+        return StaticScale()
     if loss_scaling is None:
-        return StaticScale(scale=loss_scale if loss_scale is not None else 1.0)
-    return dynamic_scale_policy(loss_scaling, params)
-
-
-def dynamic_scale_policy(name: str, params: dict | None = None) -> LossScaleState:
-    """The ``loss_scaling`` policy called ``name`` (any case), built from ``params``."""
-    policy = SCALE_POLICIES.get(name.lower())
+        if params:
+            raise ValueError("loss_scaling_params are read only with a dynamic loss_scaling")
+        return StaticScale(1.0 if loss_scale is None else loss_scale)
+    if loss_scale is not None:
+        raise ValueError("'loss_scale' (static) and 'loss_scaling' (dynamic) are mutually exclusive")
+    policy = {"backoff": BackoffScale, "logmax": LogMaxScale}.get(loss_scaling.lower())
     if policy is None:
-        raise ValueError(f"unknown loss_scaling {name!r}")
+        raise ValueError(f"unknown loss_scaling {loss_scaling!r}")
     return policy(**(params or {}))
 
 
 class MixedPrecisionState:
     """Per-replica wrapper state: master weights + scale state + registry."""
 
-    def __init__(self, master: dict[str, Tensor], scale_state: LossScaleState,
+    def __init__(self, master: dict[str, Tensor], scale_state: StaticScale,
                  registry: RegularizerRegistry):
         self.master = master
         self.scale_state = scale_state
         self.registry = registry
 
 
-def init_master(variables: dict[str, Variable], scale_state: LossScaleState | None = None,
+def init_master(variables: dict[str, Variable], scale_state: StaticScale | None = None,
                 registry: RegularizerRegistry | None = None) -> MixedPrecisionState:
     """Exact FP32 widenings of the current trainable values (the values
     themselves in FP32)."""
     master = {name: cast(v.value, DType.F32) for name, v in variables.items() if v.trainable}
-    return MixedPrecisionState(master, scale_state or StaticScale(1.0),
+    return MixedPrecisionState(master, scale_state or StaticScale(),
                                registry or RegularizerRegistry())
 
 

@@ -9,7 +9,6 @@ thread pool and take turns (see distrib.WorkerGroup).
 
 from __future__ import annotations
 
-import fnmatch
 import itertools
 import multiprocessing
 import os
@@ -58,11 +57,7 @@ def build_replica(config: Config, rank: int, num_workers: int) -> Replica:
     lr_policy = LRPolicy(config.lr_policy, **config.lr_policy_params)
     scale_state = make_scale_policy(config.dtype, config.loss_scale,
                                     config.loss_scaling, config.loss_scaling_params)
-    registry = RegularizerRegistry()
-    for reg in config.regularizers:
-        for name, var in sorted(model.variables.items()):
-            if var.trainable and fnmatch.fnmatchcase(name, reg["pattern"]):
-                registry.register(name, reg.get("kind", "l2_weight_decay"), reg["lambda"])
+    registry = RegularizerRegistry.from_patterns(config.regularizers, model.variables)
     return Replica(model, shard, optimizer, lr_policy, scale_state=scale_state,
                    registry=registry, batch_size=config.batch_size_per_gpu)
 

@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +303,57 @@ class TestPolicies:
     def test_logmax_overflow_halves(self):
         p = LogMaxScale(scale=2.0 ** 15)
         assert p.on_overflow() == 2.0 ** 14
+
+    def test_logmax_keeps_the_scale_on_a_zero_gradient(self):
+        p = LogMaxScale(scale=2.0 ** 12)
+        assert p.on_good_step(0.0) == 2.0 ** 12
+        assert p.to_dict() == {"kind": "logmax", "scale": 4096.0, "mean": None, "var": 0.0}
+
+    @staticmethod
+    def _stepped(policy, observed):
+        for x in observed:  # None is an overflow
+            policy.on_overflow() if x is None else policy.on_good_step(x)
+        return policy
+
+    # the dicts earlier checkpoints hold, so manifests stay readable both ways
+    @pytest.mark.parametrize("make,observed,expected", [
+        (StaticScale, [], {"kind": "static", "scale": 1.0}),
+        (BackoffScale, [], {"kind": "backoff", "scale": 32768.0, "good_steps": 0}),
+        (LogMaxScale, [], {"kind": "logmax", "scale": 32768.0, "mean": None, "var": 0.0}),
+        (lambda: StaticScale(8.0), [0.5, None, 0.25], {"kind": "static", "scale": 8.0}),
+        (lambda: BackoffScale(scale=1024.0, growth_interval=3),
+         [1.0, 1.0, 1.0, 1.0, None, 1.0, 1.0],
+         {"kind": "backoff", "scale": 1024.0, "good_steps": 2}),
+        (LogMaxScale, [2.0 ** -10, 3e-4, None, 0.01],
+         {"kind": "logmax", "scale": 2097152.0, "mean": -9.983295785698148,
+          "var": 0.13965100157963287}),
+    ])
+    def test_state_dict_round_trip(self, make, observed, expected):
+        policy = self._stepped(make(), observed)
+        assert policy.to_dict() == expected
+        fresh = make()
+        fresh.load_dict(json.loads(json.dumps(policy.to_dict())))
+        assert fresh.to_dict() == expected
+        # the restored policy reacts as the one it was saved from
+        assert self._stepped(fresh, [1e-3, None]).to_dict() == \
+            self._stepped(policy, [1e-3, None]).to_dict()
+
+    @pytest.mark.parametrize("saved,current", list(itertools.permutations(
+        [StaticScale, BackoffScale, LogMaxScale], 2)))
+    def test_state_of_another_kind_refused_unchanged(self, saved, current):
+        policy = self._stepped(current(scale=64.0), [1.0])
+        before = policy.to_dict()
+        with pytest.raises(ValueError, match=f"'{saved.kind}'.*'{current.kind}'"):
+            policy.load_dict(saved(scale=2.0 ** 20).to_dict())
+        assert policy.to_dict() == before
+
+    def test_fp32_reads_no_loss_scaling_key(self):
+        assert make_scale_policy("float32", None, None, {}).to_dict() == \
+            {"kind": "static", "scale": 1.0}
+        for args in ((128.0, None, {}), (None, "Backoff", {}),
+                     (None, None, {"growth_interval": 5})):
+            with pytest.raises(ValueError, match="float32"):
+                make_scale_policy("float32", *args)
 
     def test_factory(self):
         assert isinstance(make_scale_policy("mixed", 10.0, None), StaticScale)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -187,6 +188,38 @@ class TestConfig:
             parse_config(json.dumps(
                 {"transport": "tcp", "num_workers": 2,
                  "worker_addresses": ["127.0.0.1:1"]}))
+
+    def test_tcp_needs_use_allreduce(self):
+        # TCP ranks always run the ring, so a tower request would be silently ignored
+        with pytest.raises(ConfigError, match="transport 'tcp'.*use_allreduce"):
+            parse_config(json.dumps(
+                {"transport": "tcp", "num_workers": 2, "use_allreduce": False,
+                 "worker_addresses": ["127.0.0.1:1", "127.0.0.1:2"]}))
+
+    @pytest.mark.parametrize("key,value", [
+        ("loss_scale", 128.0), ("loss_scaling", "Backoff"),
+        ("loss_scaling_params", {"growth_interval": 5})])
+    def test_fp32_refuses_every_loss_scaling_key(self, key, value):
+        with pytest.raises(ConfigError, match="loss_scaling: float32 reads no"):
+            parse_config(json.dumps({"dtype": "float32", key: value}))
+
+    @pytest.mark.parametrize("regularizers,problem", [
+        ([{"pattern": "*", "lambda": -1.0}], "coefficient must be positive"),
+        ([{"pattern": "*", "kind": "l1", "lambda": 1e-4}], "unknown regularizer kind 'l1'"),
+        ([{"pattern": "enc/typo*", "lambda": 1e-4}], "matches no trainable variable"),
+        ([{"pattern": "enc/*", "lambda": 1e-4}, {"pattern": "*/emb", "lambda": 1e-5}],
+         "'enc/emb' already registered"),
+    ])
+    def test_regularizer_entries_checked_at_parse_time(self, regularizers, problem):
+        with pytest.raises(ConfigError) as e:
+            parse_config(json.dumps({"regularizers": regularizers}))
+        assert str(e.value).startswith(f"regularizers: pattern {regularizers[-1]['pattern']!r}")
+        assert problem in str(e.value)
+
+    def test_malformed_regularizer_entry_rejected(self):
+        for entry in ({"pattern": "*"}, {"pattern": "*", "lambda": 1e-4, "lamda": 1e-4}):
+            with pytest.raises(ConfigError, match="regularizers: entry .* needs 'pattern'"):
+                parse_config(json.dumps({"regularizers": [entry]}))
 
     def test_batch_size_validated(self):
         with pytest.raises(ConfigError):
@@ -501,6 +534,55 @@ class TestCheckpoint:
         assert len(decodes) == 1
         assert resumed == unbroken
 
+    @pytest.mark.parametrize("saved,current",
+                             list(itertools.permutations([None, "Backoff", "LogMax"], 2)))
+    def test_resume_refuses_another_policys_scale_state(self, tmp_path, saved, current):
+        kind = {None: "static", "Backoff": "backoff", "LogMax": "logmax"}
+
+        def stepped(scaling, directory):
+            cfg = base_config(tmp_path, dtype="mixed", loss_scaling=scaling,
+                              checkpoint_dir=str(tmp_path / directory))
+            replica = build_replica(cfg, 0, 1)
+            group = WorkerGroup([replica], mode="allreduce")
+            for s in range(2):
+                group.run_step(s)
+            group.close()
+            return cfg, replica
+
+        def state(replica):
+            slots = {(v, k): a.tobytes() for v, d in replica.optimizer.slots.items()
+                     for k, a in d.items()}
+            return (replica.parameter_digest(), replica.state.scale_state.to_dict(),
+                    replica.optimizer.t, slots)
+
+        cfg, source = stepped(saved, "saved")
+        save_checkpoint(cfg.checkpoint_dir, source, 2, cfg.content_hash())
+        _, replica = stepped(current, "current")
+        before = state(replica)
+        with pytest.raises(CheckpointError, match=f"'{kind[saved]}'.*'{kind[current]}'"):
+            load_checkpoint(cfg.checkpoint_dir, replica)
+        assert state(replica) == before
+
+    def test_resume_is_bit_identical_mixed_logmax(self, tmp_path):
+        def config(directory, steps):
+            return base_config(tmp_path, dtype="mixed", loss_scaling="LogMax", max_steps=steps,
+                               eval_every=0, checkpoint_dir=str(tmp_path / directory))
+
+        run(config("a", 6), "train")
+        run(config("b", 3), "train")
+        run(config("b", 6), "train")
+        digests, scale_states = [], []
+        for directory in ("a", "b"):
+            replica = build_replica(config(directory, 6), 0, 1)
+            manifest = load_checkpoint(str(tmp_path / directory), replica)
+            digests.append(replica.parameter_digest())
+            scale_states.append(manifest["loss_scale_state"])
+        assert digests[0] == digests[1]
+        assert scale_states[0] == scale_states[1]
+        assert scale_states[0]["mean"] is not None
+        assert ((tmp_path / "a" / "weights.bin").read_bytes()
+                == (tmp_path / "b" / "weights.bin").read_bytes())
+
 
 class TestRunModes:
     def test_train_writes_checkpoint_and_full_csv(self, tmp_path):
@@ -740,6 +822,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: optimizer: ") and "'momentun'" in err
         assert "Traceback" not in err
+
+    def test_cli_worker_overrides_equal_the_config_values(self, tmp_path):
+        from miniseq.cli import main
+        paths = {}
+        for name, kw in (("flags", {}), ("keys", {"num_workers": 2, "use_allreduce": True})):
+            paths[name] = tmp_path / f"{name}.json"
+            cfg = base_config(tmp_path, max_steps=4, eval_every=0,
+                              checkpoint_dir=str(tmp_path / name), **kw)
+            paths[name].write_text(cfg.to_json(), encoding="utf-8")
+        assert main(["--config_file", str(paths["flags"]), "--mode", "train",
+                     "--num_workers", "2", "--use_allreduce", "true"]) == 0
+        assert main(["--config_file", str(paths["keys"]), "--mode", "train"]) == 0
+        assert ((tmp_path / "flags" / "weights.bin").read_bytes()
+                == (tmp_path / "keys" / "weights.bin").read_bytes())
+
+    @pytest.mark.parametrize("text,value", [("true", True), ("YES", True), ("1", True),
+                                            ("False", False), ("no", False), ("0", False)])
+    def test_cli_bool_spellings(self, text, value):
+        from miniseq.cli import build_parser
+        args = build_parser().parse_args(["--config_file", "c.json", "--mode", "train",
+                                          "--use_allreduce", text])
+        assert args.use_allreduce is value
+
+    def test_cli_rejects_a_non_bool_use_allreduce(self, tmp_path, capsys):
+        from miniseq.cli import main
+        with pytest.raises(SystemExit) as e:
+            main(["--config_file", str(tmp_path / "c.json"), "--mode", "train",
+                  "--use_allreduce", "maybe"])
+        assert e.value.code == 2
+        assert "expected true or false, got 'maybe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,flags,key", [
+        ({}, ["--num_workers", "0"], "num_workers"),
+        ({"transport": "tcp", "num_workers": 2, "use_allreduce": True,
+          "worker_addresses": ["127.0.0.1:1", "127.0.0.1:2"]},
+         ["--use_allreduce", "false"], "use_allreduce"),
+    ])
+    def test_cli_override_validated(self, tmp_path, capsys, doc, flags, key):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**doc, "checkpoint_dir": str(tmp_path / "ckpt")}),
+                            encoding="utf-8")
+        from miniseq.cli import main
+        assert main(["--config_file", str(cfg_path), "--mode", "train", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "ckpt").exists()
 
     def test_cli_eval_without_checkpoint_fails(self, tmp_path):
         cfg_path = tmp_path / "c.json"
