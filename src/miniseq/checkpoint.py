@@ -7,8 +7,9 @@ to the parameter's dtype, as after every applied step. manifest.json carries
 the step, a hash of the config that produced the run, and the loss-scale
 state, which is all a resumed run needs to continue bit-identically. The
 ``var:`` parameter records that older checkpoints also hold are ignored. A
-resume refuses another dtype mode or loss-scale policy kind before it changes
-the replica, with a CheckpointError that names both.
+resume refuses another dtype mode or loss-scale policy kind, with a
+CheckpointError that names both, and a missing or misshapen master; it checks
+all of these before it changes the replica.
 """
 
 from __future__ import annotations
@@ -75,15 +76,17 @@ def _restore(replica: Replica, manifest: dict, tensors: dict[str, Tensor]) -> No
     if manifest["mode"] != replica.model.mode:
         raise CheckpointError(f"checkpoint of a {manifest['mode']!r} model does not match "
                               f"the current {replica.model.mode!r} model")
+    masters = {name: tensors.get(f"master:{name}") for name in replica.state.master}
+    for name, master in masters.items():
+        var = replica.model.variables[name]
+        if master is None or master.shape != var.value.shape or master.dtype is not DType.F32:
+            raise CheckpointError(f"checkpoint lacks FP32 master weights of {name!r}")
     try:
         replica.state.scale_state.load_dict(manifest["loss_scale_state"])
     except ValueError as e:
         raise CheckpointError(str(e)) from e
-    for name in replica.state.master:
-        master = tensors.get(f"master:{name}")
+    for name, master in masters.items():
         var = replica.model.variables[name]
-        if master is None or master.shape != var.value.shape or master.dtype is not DType.F32:
-            raise CheckpointError(f"checkpoint lacks FP32 master weights of {name!r}")
         replica.state.master[name] = master
         # apply_update's refresh, so an FP32 parameter is its master again
         var.value = cast(master, var.value.dtype)

@@ -1,12 +1,13 @@
 """Data-parallel training: replicas, transports, and ring collectives.
 
-A WorkerGroup runs K replicas over disjoint data shards. In allreduce mode
-every worker owns a full replica and the group agrees on each step through
-two collectives: a flag-OR (did anyone overflow?) and a ring allreduce of
-the unscaled FP32 gradients. In tower mode a single process steps K towers
-that share rank 0's parameter store (see WorkerGroup). Both modes average
-the same rank-order sum (rank_order_sum) of the flattened gradients and
-update through the same Replica.apply, so they end with bit-identical weights.
+K workers train over disjoint data shards; a WorkerGroup steps those that
+live in one process. In allreduce mode every worker owns a full replica and
+the group agrees on each step through two collectives: a flag-OR (did
+anyone overflow?) and a ring allreduce of the unscaled FP32 gradients. In
+tower mode a single process steps K towers that share rank 0's parameter
+store (see WorkerGroup). Both modes average the same rank-order sum
+(rank_order_sum) of the flattened gradients and update through the same
+Replica.apply, so they end with bit-identical weights.
 
 In-process allreduce ranks run on a thread pool that the group creates on
 its first step, and they take turns: a rank computes only while it holds the
@@ -43,6 +44,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,6 +134,9 @@ class InProcessTransport:
             self.aborted = True
             for _, ready in self._edges.values():
                 ready.notify_all()
+
+    def close(self):
+        """Nothing to release: the edges are plain queues."""
 
     def _edge(self, src: int, dst: int) -> tuple[deque, threading.Condition]:
         edge = self._edges.get((src, dst))
@@ -399,16 +404,18 @@ class ReduceBucket:
         return out
 
 
+@dataclass
 class StepMetrics:
-    def __init__(self, step, loss, applied, scale, grad_norm, lr, tokens, seconds):
-        self.step = step
-        self.loss = loss
-        self.applied = applied
-        self.scale = scale
-        self.grad_norm = grad_norm
-        self.lr = lr
-        self.tokens = tokens
-        self.seconds = seconds
+    """One step's outcome; WorkerGroup.run_step sets the group's tokens and seconds."""
+
+    step: int
+    loss: float
+    applied: bool
+    scale: float
+    grad_norm: float | None
+    lr: float | None
+    tokens: float
+    seconds: float = 0.0
 
 
 class Replica:
@@ -474,39 +481,35 @@ class Replica:
 
 def distributed_train_step(replica: Replica, transport, rank: int, num_workers: int,
                            step: int) -> StepMetrics:
-    """One synchronous data-parallel step (allreduce mode), run per worker."""
-    t0 = time.perf_counter()
+    """One synchronous data-parallel step (allreduce mode), run per worker;
+    the tokens are this worker's."""
     tape, loss, grads, finite, tokens = replica.forward_backward(step)
     any_overflow = allreduce_flag_or(transport, rank, num_workers, not finite, step)
     if any_overflow:
         replica.on_overflow()
-        return StepMetrics(step, loss, False, replica.scale, None,
-                           None, tokens, time.perf_counter() - t0)
+        return StepMetrics(step, loss, False, replica.scale, None, None, tokens)
     vec = replica.bucket.flatten(replica.unscale(grads))
     summed = ring_allreduce(transport, rank, num_workers, vec, step)
     grad_norm, lr = replica.apply_mean(summed, num_workers, step)
-    return StepMetrics(step, loss, True, replica.scale, grad_norm, lr, tokens,
-                       time.perf_counter() - t0)
+    return StepMetrics(step, loss, True, replica.scale, grad_norm, lr, tokens)
 
 
 def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
     """Single-process aggregation over towers that share one parameter store:
     every tower's backward, then the rank-order sum of their flattened grads
-    averaged and applied once, or on any overflow one back-off of the scale."""
-    t0 = time.perf_counter()
+    averaged and applied once, or on any overflow one back-off of the scale.
+    The tokens are all the towers'."""
     results = [r.forward_backward(step) for r in replicas]
     losses = [loss for _, loss, _, _, _ in results]
     tokens = sum(tok for *_, tok in results)
     mean_loss = float(np.mean(losses))
     if not all(finite for _, _, _, finite, _ in results):
         replicas[0].on_overflow()
-        return StepMetrics(step, mean_loss, False, replicas[0].scale, None, None,
-                           tokens, time.perf_counter() - t0)
+        return StepMetrics(step, mean_loss, False, replicas[0].scale, None, None, tokens)
     summed = rank_order_sum([r.bucket.flatten(r.unscale(grads))
                              for r, (_, _, grads, _, _) in zip(replicas, results)])
     grad_norm, lr = replicas[0].apply_mean(summed, len(replicas), step)
-    return StepMetrics(step, mean_loss, True, replicas[0].scale, grad_norm, lr,
-                       tokens, time.perf_counter() - t0)
+    return StepMetrics(step, mean_loss, True, replicas[0].scale, grad_norm, lr, tokens)
 
 
 def _rank_step(replica: Replica, transport: InProcessTransport, rank: int,
@@ -532,10 +535,14 @@ def _pin_thread(cpu: int):
 
 
 class WorkerGroup:
-    """K replicas stepping in lockstep inside one process.
+    """The ranks of a data-parallel group that live in this process: by
+    default all K = len(replicas) over an InProcessTransport, or, given a
+    TcpTransport, that transport's one rank (K is then the transport's).
+    run_step alone picks how they step, totals the group's tokens and times
+    the step.
 
-    mode "allreduce" with K > 1 runs each step's K ranks on a pool of K
-    threads, created on the first step, that take turns on the in-process
+    mode "allreduce" with K > 1 in process runs each step's K ranks on a
+    pool of K threads, created on the first step, that take turns on the
     transport (see InProcessTransport) and meet in the ring collectives.
     The pool's threads are pinned to the caller's lowest allowed CPU, as
     one rank runs at a time anyway; the caller's thread stays unpinned.
@@ -545,7 +552,8 @@ class WorkerGroup:
     here, and steps the K towers in the calling thread (tower_train_step).
     """
 
-    def __init__(self, replicas: list[Replica], mode: str = "allreduce"):
+    def __init__(self, replicas: list[Replica], mode: str = "allreduce",
+                 transport: TcpTransport | None = None):
         if mode not in ("allreduce", "tower"):
             raise ValueError(f"unknown group mode {mode!r}")
         if mode == "tower":
@@ -553,47 +561,52 @@ class WorkerGroup:
                 r.copy_parameters_from(replicas[0])
         self.replicas = replicas
         self.mode = mode
-        self.num_workers = len(replicas)
-        self.transport = InProcessTransport(self.num_workers)
+        self.transport = transport or InProcessTransport(len(replicas))
+        self.rank = getattr(transport, "rank", 0)
+        self.num_workers = self.transport.num_workers
         self._pool: ThreadPoolExecutor | None = None
 
     def close(self):
-        """Stop and join the pool's threads; a later step starts new ones."""
+        """Stop the pool's threads (a later step starts new ones); close the transport."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        self.transport.close()
 
     def run_step(self, step: int) -> StepMetrics:
-        """One group step: rank-0 metrics after consensus checks, with the
-        token count of the whole group."""
-        if self.mode == "tower":
-            return tower_train_step(self.replicas, step)
-        if self.num_workers == 1:
-            return distributed_train_step(self.replicas[0], self.transport, 0, 1, step)
-        if self.transport.aborted:
-            raise TransportError(f"step {step}: the group was aborted by an earlier failure")
-        if self._pool is None:
-            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
-            pin = {"initializer": _pin_thread, "initargs": (min(cpus),)} if len(cpus) > 1 else {}
-            self._pool = ThreadPoolExecutor(self.num_workers, thread_name_prefix="miniseq-worker",
-                                            **pin)
+        """One group step: rank 0's metrics after the consensus checks (this
+        rank's, on TCP), with the group's tokens and the step's wall time."""
         t0 = time.perf_counter()
-        futures = [self._pool.submit(_rank_step, replica, self.transport, rank,
-                                     self.num_workers, step)
-                   for rank, replica in enumerate(self.replicas)]
-        errors = [f.exception() for f in futures]  # waits for every rank
-        failures = [(rank, e) for rank, e in enumerate(errors) if e is not None]
-        if failures:
-            # the cause, not a rank that only saw the abort it triggered
-            rank, err = next(((r, e) for r, e in failures if not isinstance(e, GroupAborted)),
-                             failures[0])
-            raise TransportError(f"rank {rank} failed at step {step}: {err}") from err
-        results = [f.result() for f in futures]
-        applied = {m.applied for m in results}
-        if len(applied) != 1:
-            raise RuntimeError("flag consensus violated: mixed applied/skipped outcomes")
-        metrics = results[0]
-        metrics.tokens = sum(m.tokens for m in results)
+        if self.mode == "tower":
+            metrics = tower_train_step(self.replicas, step)
+        elif len(self.replicas) == 1:
+            metrics = distributed_train_step(self.replicas[0], self.transport, self.rank,
+                                             self.num_workers, step)
+            metrics.tokens *= self.num_workers  # every rank's shard counts as this one's
+        else:
+            if self.transport.aborted:
+                raise TransportError(f"step {step}: the group was aborted by an earlier failure")
+            if self._pool is None:
+                cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
+                pin = ({"initializer": _pin_thread, "initargs": (min(cpus),)}
+                       if len(cpus) > 1 else {})
+                self._pool = ThreadPoolExecutor(self.num_workers,
+                                                thread_name_prefix="miniseq-worker", **pin)
+            futures = [self._pool.submit(_rank_step, replica, self.transport, rank,
+                                         self.num_workers, step)
+                       for rank, replica in enumerate(self.replicas)]
+            errors = [f.exception() for f in futures]  # waits for every rank
+            failures = [(rank, e) for rank, e in enumerate(errors) if e is not None]
+            if failures:
+                # the cause, not a rank that only saw the abort it triggered
+                rank, err = next(((r, e) for r, e in failures
+                                  if not isinstance(e, GroupAborted)), failures[0])
+                raise TransportError(f"rank {rank} failed at step {step}: {err}") from err
+            results = [f.result() for f in futures]
+            if len({m.applied for m in results}) != 1:
+                raise RuntimeError("flag consensus violated: mixed applied/skipped outcomes")
+            metrics = results[0]
+            metrics.tokens = sum(m.tokens for m in results)
         metrics.seconds = time.perf_counter() - t0
         return metrics
 

@@ -86,7 +86,8 @@ class RegularizerRegistry:
 
 class StaticScale:
     """A fixed positive scale; the dynamic policies override its reactions
-    to overflow and clean steps, and name the fields they checkpoint."""
+    to overflow and clean steps, name the fields they checkpoint, and start
+    within their bounds, so that each reaction moves the scale the right way."""
 
     kind = "static"
     state_fields = ("scale",)
@@ -94,6 +95,9 @@ class StaticScale:
     def __init__(self, scale: float = 1.0, scale_min: float = 1.0, scale_max: float = 2.0 ** 24):
         if scale <= 0:
             raise ValueError(f"loss_scale must be positive, got {scale}")
+        if self.kind != "static" and not 0 < scale_min <= scale <= scale_max:
+            raise ValueError(f"a {self.kind} scale needs 0 < scale_min <= scale <= scale_max, "
+                             f"got {scale_min}, {scale}, {scale_max}")
         self.scale = float(scale)
         self.scale_min = float(scale_min)
         self.scale_max = float(scale_max)

@@ -1,10 +1,12 @@
 """Run orchestration: the train / eval / train_eval / infer entry points.
 
 A run is described by a Config; this module builds the worker group, drives
-the step loop, logs metrics, and handles checkpoints. With the TCP transport
-the runner spawns one OS process per worker, each given the caller's Config,
-and the ranks join the ring; with the in-process transport the ranks run on a
-thread pool and take turns (see distrib.WorkerGroup).
+the step loop, logs metrics, and handles checkpoints. Every training run goes
+through one driver, _train, which steps the WorkerGroup of the ranks in its
+process: with the in-process transport that is all of them, on a thread pool
+where they take turns (see distrib.WorkerGroup); with the TCP transport the
+runner spawns one OS process per rank, each running _train on the caller's
+Config as a one-rank group that joins the ring.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .autodiff import Tape
 from .blocks import DATA_LAYERS, DataLayer, Seq2SeqModel, token_accuracy
 from .checkpoint import checkpoint_exists, load_checkpoint, save_checkpoint
 from .config import RUN_MODES, Config, ConfigError
-from .distrib import (
-    InProcessTransport,
-    Replica,
-    TcpTransport,
-    WorkerGroup,
-    distributed_train_step,
-)
+from .distrib import Replica, TcpTransport, WorkerGroup
 from .metrics import MetricsLog, MetricsRow, bleu4, wer
 from .mixed_precision import RegularizerRegistry, make_scale_policy
 from .optim import LRPolicy, Optimizer
@@ -138,22 +134,6 @@ def _infer_lines(model: Seq2SeqModel, lines: list[list[int]], batch_size: int,
     return outputs
 
 
-def _train_in_process(config: Config, mode: str, enable_logs: bool) -> RunResult:
-    group_mode = "allreduce" if (config.use_allreduce or config.num_workers == 1) else "tower"
-    replicas = [build_replica(config, r, config.num_workers)
-                for r in range(config.num_workers)]
-    start_step = _resume(config, replicas)
-    group = WorkerGroup(replicas, mode=group_mode)
-    log = MetricsLog()
-    try:
-        # run_step already counts the tokens of every replica
-        summary = _drive_steps(config, mode, group.run_step, replicas[0], log,
-                               start_step, enable_logs, tokens_multiplier=1)
-    finally:
-        group.close()
-    return _finish(config, mode, replicas[0], log, summary)
-
-
 def _resume(config: Config, replicas: list[Replica]) -> int:
     """The step to start at, after loading any checkpoint into every replica."""
     if not checkpoint_exists(config.checkpoint_dir):
@@ -161,10 +141,27 @@ def _resume(config: Config, replicas: list[Replica]) -> int:
     return int(load_checkpoint(config.checkpoint_dir, *replicas)["step"])
 
 
-def _finish(config: Config, mode: str, rank0: Replica, log: MetricsLog,
-            summary: dict) -> RunResult:
-    """Save the final checkpoint and write the metrics after any earlier rows."""
-    save_checkpoint(config.checkpoint_dir, rank0, config.max_steps, config.content_hash())
+def _train(config: Config, mode: str, enable_logs: bool, rank: int | None = None) -> RunResult:
+    """Train the ranks of this process: all of them in process, or TCP rank
+    ``rank``. Rank 0 logs, saves the checkpoint at the step reached and
+    writes the metrics after any earlier rows."""
+    ranks = range(config.num_workers) if rank is None else [rank]
+    replicas = [build_replica(config, r, config.num_workers) for r in ranks]
+    start_step = _resume(config, replicas)
+    transport = None if rank is None else TcpTransport(rank, config.worker_addresses)
+    group_mode = "allreduce" if (config.use_allreduce or config.num_workers == 1) else "tower"
+    group = WorkerGroup(replicas, mode=group_mode, transport=transport)
+    log = MetricsLog() if rank in (None, 0) else None
+    try:
+        summary = _drive_steps(config, mode, group.run_step, replicas[0], log, start_step,
+                               enable_logs)
+    finally:
+        group.close()
+    if log is None:
+        return RunResult(0)
+    # a resume at or past max_steps trains nothing and keeps the checkpoint's step
+    save_checkpoint(config.checkpoint_dir, replicas[0], max(start_step, config.max_steps),
+                    config.content_hash())
     metrics_path = os.path.join(config.checkpoint_dir, METRICS_FILE[mode])
     log.write_csv(metrics_path)
     return RunResult(0, artifacts={"checkpoint_dir": config.checkpoint_dir,
@@ -172,9 +169,8 @@ def _finish(config: Config, mode: str, rank0: Replica, log: MetricsLog,
 
 
 def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: MetricsLog | None,
-                 start_step: int, enable_logs: bool, tokens_multiplier: int) -> dict:
-    """Step loop; ``tokens_multiplier`` scales ``StepMetrics.tokens`` to the
-    whole group for the logged tokens per second."""
+                 start_step: int, enable_logs: bool) -> dict:
+    """Step loop; rank 0 (``log`` given) logs a row and a line per step."""
     examples_per_epoch = rank0.data.examples_per_epoch
     summary: dict = {}
     # built before step 0, so that a missing eval split fails before training
@@ -187,8 +183,7 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
                 step=step, epoch=_epoch(config, step, examples_per_epoch), split="train",
                 loss=m.loss, lr=m.lr, loss_scale=m.scale, grad_norm=m.grad_norm,
                 skipped=not m.applied,
-                tokens_per_sec=(m.tokens * tokens_multiplier / m.seconds
-                                if m.seconds > 0 else None)))
+                tokens_per_sec=m.tokens / m.seconds if m.seconds > 0 else None))
             if enable_logs:
                 print(f"step {step} loss {m.loss:.6f} scale {m.scale:g} "
                       f"{'applied' if m.applied else 'skipped'}", flush=True)
@@ -196,26 +191,6 @@ def _drive_steps(config: Config, mode: str, run_step, rank0: Replica, log: Metri
         if evaluating and (step + 1) % config.eval_every == 0:
             summary.update(evaluate(config, rank0, log, step, layer))
     return summary
-
-
-def _train_tcp_worker(config: Config, mode: str, rank: int, enable_logs: bool) -> RunResult:
-    replica = build_replica(config, rank, config.num_workers)
-    start_step = _resume(config, [replica])
-    transport = TcpTransport(rank, config.worker_addresses)
-    log = MetricsLog() if rank == 0 else None
-
-    def run_step(step):
-        return distributed_train_step(replica, transport, rank, config.num_workers, step)
-
-    try:
-        # each rank counts only its own shard's tokens
-        summary = _drive_steps(config, mode, run_step, replica, log, start_step,
-                               enable_logs, tokens_multiplier=config.num_workers)
-    finally:
-        transport.close()
-    if rank == 0:
-        return _finish(config, mode, replica, log, summary)
-    return RunResult(0)
 
 
 def _spawn_tcp_workers(config: Config, mode: str, enable_logs: bool) -> RunResult:
@@ -227,8 +202,8 @@ def _spawn_tcp_workers(config: Config, mode: str, enable_logs: bool) -> RunResul
     child would inherit.
     """
     context = multiprocessing.get_context("spawn")
-    procs = [context.Process(target=_train_tcp_worker, name=f"miniseq-rank-{rank}",
-                             args=(config, mode, rank, enable_logs))
+    procs = [context.Process(target=_train, name=f"miniseq-rank-{rank}",
+                             args=(config, mode, enable_logs, rank))
              for rank in range(config.num_workers)]
     try:
         for p in procs:
@@ -281,7 +256,7 @@ def run(config: Config, mode: str, *, enable_logs: bool = False,
     if mode in ("train", "train_eval"):
         if config.transport == "tcp" and config.num_workers > 1:
             return _spawn_tcp_workers(config, mode, enable_logs)
-        return _train_in_process(config, mode, enable_logs)
+        return _train(config, mode, enable_logs)
 
     if mode == "eval":
         replica = build_replica(config, 0, 1)

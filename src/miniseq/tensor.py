@@ -40,7 +40,7 @@ class DType(Enum):
 
     @property
     def code(self) -> int:
-        """The byte that names this dtype in named-tensor records and ring chunks."""
+        """The byte that names this dtype in named-tensor records."""
         return 0 if self is DType.F16 else 1
 
     @staticmethod
@@ -51,7 +51,7 @@ class DType(Enum):
 
     @property
     def wire(self) -> str:
-        """The little-endian element type of records and ring chunks."""
+        """The little-endian element type of named-tensor records."""
         return "<f2" if self is DType.F16 else "<f4"
 
 

@@ -364,6 +364,30 @@ class TestTapeMatmul:
         assert np.max(np.abs(got - exact)) <= bound
 
 
+ONES = np.ones((2, 3))
+
+
+@pytest.mark.parametrize("op,operands,match", [
+    ("add", (f32(ONES), f32(np.ones((3, 2)))), "add: shapes"),
+    ("bias_add", (f32(ONES), f32(np.ones(2))), "bias_add: shapes"),
+    ("bias_add", (f32(ONES), f32(np.ones((1, 3)))), "bias_add: shapes"),
+    ("mul", (f32(ONES), f32(np.ones(3))), "mul: shapes"),
+    ("embedding_gather", (f32(ONES), np.array([0, 2])), "embedding ids out of range"),
+    ("embedding_gather", (f32(ONES), np.array([-1])), "embedding ids out of range"),
+    ("concat_last_axis", (f32(ONES), f32(np.ones((3, 3)))), "concat: shapes"),
+    ("attn_scores", (f32(ONES), f32(np.ones((2, 4, 2)))), "attn_scores: hidden"),
+    ("softmax_cross_entropy_with_mask",
+     (f32(np.ones((2, 3, 5))), np.zeros((2, 3), dtype=np.int64), np.ones((2, 2))),
+     "cross entropy: logits/targets/mask shapes disagree"),
+    ("softmax_cross_entropy_with_mask",
+     (f32(np.ones((2, 3, 5))), np.zeros((3, 2), dtype=np.int64), np.ones((3, 2))),
+     "cross entropy: logits/targets/mask shapes disagree"),
+])
+def test_ops_refuse_operands_of_mismatched_shapes(op, operands, match):
+    with pytest.raises(ShapeError, match=match):
+        getattr(Tape("float32"), op)(*operands)
+
+
 def fan_in(mode, dtype, x_arr, consts, seed, through_op=False):
     """Gradient of x when ``sum_i scale(y, c_i)`` feeds reduce_sum.
 

@@ -27,6 +27,7 @@ from miniseq.distrib import (
     parse_chunk,
     ring_allreduce,
     tower_train_step,
+    unframe,
 )
 from miniseq.mixed_precision import BackoffScale, StaticScale
 from miniseq.optim import LRPolicy, Optimizer
@@ -80,6 +81,10 @@ class TestWireFormat:
     def test_frame_layout(self):
         msg = frame(1, b"\x07")
         assert msg == b"\x01\x00\x00\x00\x01\x07"
+        tag, payload = unframe(msg)
+        assert (tag, bytes(payload)) == (1, b"\x07")
+        with pytest.raises(TransportError, match="corrupt frame"):
+            unframe(msg + b"\x00")  # the length field says one byte, two follow
 
     def test_chunk_payload_round_trip(self):
         arr = np.array([1.5, -2.0], dtype=np.float32)
@@ -88,6 +93,8 @@ class TestWireFormat:
         assert (step, origin) == (3, 1)
         assert np.array_equal(back, arr)
         assert len(payload) == 12 + 4 * arr.size  # [step][origin][count], no dtype byte
+        with pytest.raises(TransportError, match="carries 1 elements, header says 2"):
+            parse_chunk(payload[:-4])
 
 
 class TestRingAllreduce:
@@ -424,6 +431,11 @@ class TestInProcessTransport:
         tr.send(2, 0, b"y")
         assert tr.recv(2, 0) == b"y"
 
+    def test_recv_on_an_empty_edge_times_out(self):
+        tr = InProcessTransport(2, timeout=0.05)
+        with pytest.raises(TransportError, match="recv timeout on edge 0->1"):
+            tr.recv(0, 1)
+
     def test_abort_wakes_a_waiting_recv(self):
         tr = InProcessTransport(2, timeout=60.0)
         out = []
@@ -476,6 +488,10 @@ PINS_POOL = pytest.mark.skipif(
 
 class TestWorkerPool:
     """In-process allreduce workers: persistent threads taking turns."""
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="unknown group mode 'ring'"):
+            WorkerGroup([small_replica(0, 1)], mode="ring")
 
     def test_thread_count_steady_across_steps(self):
         start = threading.active_count()

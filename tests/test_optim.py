@@ -34,6 +34,8 @@ class TestLRPolicy:
             LRPolicy("exp_decay", decay_rate=1.5)
         with pytest.raises(ValueError):
             LRPolicy("warmup")
+        with pytest.raises(ValueError, match="step must be non-negative"):
+            LRPolicy().lr_at(-1)
 
 
 class TestOptimizer:
@@ -101,6 +103,13 @@ class TestOptimizer:
             opt.step(master, {"w": t32([np.inf])}, lr=0.1)
         with pytest.raises(ContractViolation):
             opt.step(master, {"w": Tensor.from_array([0.1], DType.F16)}, lr=0.1)
+
+    def test_rejects_a_gradient_of_another_shape(self):
+        opt = Optimizer("sgd")
+        master = {"w": t32([1.0, 2.0])}
+        with pytest.raises(ValueError, match=r"gradient shape \(1,\) != weight shape \(2,\)"):
+            opt.step(master, {"w": t32([0.1])}, lr=0.1)
+        assert np.array_equal(master["w"].f32(), [1.0, 2.0])
 
     def test_slots_stay_fp32(self):
         opt = Optimizer("adam")

@@ -130,6 +130,9 @@ class TestConfig:
         cfg = parse_config(json.dumps({"dtype": "mixed", "loss_scale": 10.0}))
         assert cfg.loss_scale == 10.0
         assert cfg.loss_scaling is None
+        # a static scale has no bounds to keep
+        big = parse_config(json.dumps({"dtype": "mixed", "loss_scale": 2.0 ** 30}))
+        assert big.loss_scale == 2.0 ** 30
 
     def test_lr_policy_params(self):
         cfg = parse_config(json.dumps(
@@ -156,6 +159,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="loss_scale must be positive"):
             parse_config(json.dumps({"dtype": "mixed", "loss_scale": scale}))
 
+    @pytest.mark.parametrize("policy,params", [
+        ("LogMax", {"scale_min": 0.0}),  # log2(0) on the first clean step
+        ("Backoff", {"scale": 4.0, "scale_min": 8.0}),  # an overflow would raise the scale
+        ("Backoff", {"scale": 2.0 ** 25}),  # a clean streak would lower it
+        ("LogMax", {"scale_min": 4.0, "scale_max": 2.0}),
+    ], ids=["logmax-min-zero", "backoff-min-above-scale", "backoff-above-max",
+            "logmax-min-above-max"])
+    def test_dynamic_scale_outside_its_bounds_rejected(self, policy, params):
+        with pytest.raises(ConfigError,
+                           match="loss_scaling: a .* scale needs 0 < scale_min <= scale"):
+            parse_config(json.dumps({"dtype": "mixed", "loss_scaling": policy,
+                                     "loss_scaling_params": params}))
+
     @pytest.mark.parametrize("doc,key", [
         ({"optimizer": "sgd", "optimizer_params": {"beta1": 0.5}}, "'beta1'"),
         ({"optimizer": "Momentum", "optimizer_params": {"epsilon": 1e-6}}, "'epsilon'"),
@@ -173,7 +189,8 @@ class TestConfig:
 
     def test_unknown_kinds_rejected(self):
         for key, value in [("encoder", "transformer"), ("data_layer", "wmt"),
-                           ("optimizer", "lamb"), ("loss_scaling", "Adaptive")]:
+                           ("optimizer", "lamb"), ("loss_scaling", "Adaptive"),
+                           ("transport", "udp")]:
             with pytest.raises(ConfigError):
                 parse_config(json.dumps({"dtype": "mixed", key: value}))
 
@@ -224,6 +241,8 @@ class TestConfig:
     def test_batch_size_validated(self):
         with pytest.raises(ConfigError):
             parse_config(json.dumps({"batch_size_per_gpu": 0}))
+        with pytest.raises(ConfigError, match="max_steps must be >= 1"):
+            parse_config(json.dumps({"max_steps": 0}))
 
     def test_eval_batches_validated(self):
         # no eval batch would average an empty list into NaN metrics
@@ -254,7 +273,8 @@ class TestConfig:
     def test_params_values_checked_at_parse_time(self):
         for doc in ({"lr_policy_params": {"learning_rate": -1.0}},
                     {"encoder_params": {"hidden": 0}},
-                    {"dtype": "float16"}, {"loss": "hinge"}, {"decoder": "transformer"}):
+                    {"dtype": "float16"}, {"loss": "hinge"}, {"decoder": "transformer"},
+                    [{"max_steps": 5}]):  # the root must be an object
             with pytest.raises(ConfigError):
                 parse_config(json.dumps(doc))
 
@@ -469,6 +489,56 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="master"):
             load_checkpoint(cfg.checkpoint_dir, build_replica(cfg, 0, 1))
 
+    def test_failed_restore_changes_nothing(self, tmp_path):
+        from miniseq.tensor import read_named_tensor, write_named_tensor
+        cfg = base_config(tmp_path, dtype="mixed", loss_scaling="Backoff")
+        source, replica = build_replica(cfg, 0, 1), build_replica(cfg, 0, 1)
+        for steps, r in ((3, source), (1, replica)):
+            group = WorkerGroup([r])
+            for s in range(steps):
+                group.run_step(s)
+        save_checkpoint(cfg.checkpoint_dir, source, 3, cfg.content_hash())
+        path = os.path.join(cfg.checkpoint_dir, "weights.bin")
+        with open(path, "rb") as f:
+            records = list(iter(lambda: read_named_tensor(f), None))
+        last = max(name for name, _ in records if name.startswith("master:"))
+        assert last == "master:enc/l0/w"
+        with open(path, "wb") as f:
+            for name, t in records:
+                if name != last:
+                    write_named_tensor(f, name, t)
+
+        def state():
+            return (replica.parameter_digest(), replica.state.scale_state.to_dict(),
+                    {n: m.data.tobytes() for n, m in replica.state.master.items()},
+                    {(v, k): a.tobytes() for v, d in replica.optimizer.slots.items()
+                     for k, a in d.items()}, replica.optimizer.t)
+
+        before = state()
+        assert before[1] != source.state.scale_state.to_dict()
+        with pytest.raises(CheckpointError, match="'enc/l0/w'"):
+            load_checkpoint(cfg.checkpoint_dir, replica)
+        assert state() == before
+
+    def test_resume_at_or_past_max_steps_keeps_the_checkpoint(self, tmp_path):
+        def config(directory, steps):
+            return base_config(tmp_path, max_steps=steps, eval_every=0,
+                               checkpoint_dir=str(tmp_path / directory))
+
+        run(config("unbroken", 8), "train")
+        run(config("b", 6), "train")
+        weights = (tmp_path / "b" / "weights.bin").read_bytes()
+        for steps in (3, 6):
+            assert run(config("b", steps), "train").summary == {}
+            manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+            assert (manifest["step"], manifest["optimizer_t"]) == (6, 6)
+            assert (tmp_path / "b" / "weights.bin").read_bytes() == weights
+        run(config("b", 8), "train")
+        assert ((tmp_path / "b" / "weights.bin").read_bytes()
+                == (tmp_path / "unbroken" / "weights.bin").read_bytes())
+        lines = (tmp_path / "b" / "metrics.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == list(range(8))
+
     def test_missing_checkpoint_raises(self, tmp_path):
         cfg = base_config(tmp_path)
         with pytest.raises(CheckpointError):
@@ -666,6 +736,19 @@ class TestRunModes:
         assert [train_epoch[4], train_epoch[9]] == ["1", "2"]
         for r in eval_rows:
             assert r[1] == train_epoch[int(r[0])]
+
+    def test_enable_logs_prints_one_line_per_step(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, dtype="mixed", loss_scaling="Backoff",
+                          loss_scaling_params={"scale": 2.0 ** 20, "growth_interval": 4},
+                          max_steps=6, eval_every=0)
+        run(cfg, "train", enable_logs=True)
+        lines = capsys.readouterr().out.splitlines()
+        with open(os.path.join(cfg.checkpoint_dir, "metrics.csv"), encoding="utf-8") as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        assert lines == [f"step {r[0]} loss {float(r[3]):.6f} scale {float(r[5]):g} "
+                         f"{'skipped' if r[7] == '1' else 'applied'}" for r in rows]
+        assert [int(r[0]) for r in rows] == list(range(6))
+        assert {line.split()[-1] for line in lines} == {"applied", "skipped"}
 
     def test_eval_requires_checkpoint(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -900,6 +983,24 @@ def test_tcp_run_from_the_python_api_matches_in_process(tmp_path):
     assert run(in_process, "train").status == 0
     assert ((tmp_path / "tcp" / "weights.bin").read_bytes()
             == (tmp_path / "in_process" / "weights.bin").read_bytes())
+
+
+def test_tcp_resume_matches_an_unbroken_in_process_run(tmp_path):
+    """Two TCP ranks trained for 3 steps and resumed to 6 write the weights.bin
+    bytes of an unbroken in-process run, and one metrics row per step."""
+    common = dict(eval_every=0, num_workers=2, use_allreduce=True)
+    for steps in (3, 6):
+        tcp = base_config(tmp_path, **common, max_steps=steps, transport="tcp",
+                          worker_addresses=[f"127.0.0.1:{p}" for p in _free_ports(2)],
+                          checkpoint_dir=str(tmp_path / "tcp"))
+        assert run(tcp, "train").status == 0
+    in_process = base_config(tmp_path, **common, max_steps=6,
+                             checkpoint_dir=str(tmp_path / "in_process"))
+    assert run(in_process, "train").status == 0
+    assert ((tmp_path / "tcp" / "weights.bin").read_bytes()
+            == (tmp_path / "in_process" / "weights.bin").read_bytes())
+    lines = (tmp_path / "tcp" / "metrics.csv").read_text().splitlines()[1:]
+    assert [int(line.split(",")[0]) for line in lines] == list(range(6))
 
 
 def test_tcp_launch_stops_the_group_and_names_a_killed_rank(tmp_path, capfd):

@@ -23,6 +23,12 @@ def f32(arr):
 
 
 class TestCast:
+    def test_buffer_of_another_dtype_refused(self):
+        with pytest.raises(TypeError, match="buffer dtype float64 does not match"):
+            Tensor(np.zeros(2), DType.F32)
+        with pytest.raises(TypeError, match="buffer dtype float32 does not match"):
+            Tensor(np.zeros(2, dtype=np.float32), DType.F16)
+
     def test_same_dtype_returns_the_tensor_itself(self):
         for t in (f32([1.5, -2.0]), f16([1.5, -2.0])):
             assert cast(t, t.dtype) is t
