@@ -20,6 +20,12 @@ in FP32, in the order backward() meets them, before that one rounding.
 The backward seed is where loss scaling enters: seeding with S instead of 1
 multiplies every gradient by S before it is rounded into the gradient dtype.
 
+Every op also accepts a leading axis: K replicas' operands stacked on axis 0
+(weights [K, n, m], a bias [K, n], a table [K, V, E], activations [K, b, ...])
+give slice k of each output and input gradient the bits that the op gives
+replica k alone. Cross entropy gives one loss per leading index, and a seed
+with one value per slice scales each replica by its own loss scale.
+
 A tape built with ``record=False`` is for evaluation and decoding: every op
 computes and rounds its output exactly as on a recording tape, but nothing
 is appended to ``ops``, no backward closure is built, and arrays that only
@@ -117,10 +123,9 @@ class Tape:
         backward reuses the same widened operands, and gives ``None`` as the
         gradient of a constant operand.
         """
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise ShapeError(f"matmul expects 2-d operands, got {a.shape} x {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
+        sa, sb = a.data.shape, b.data.shape
+        if len(sa) < 2 or sa[:-2] != sb[:-2] or sa[-1:] != sb[-2:-1]:
+            raise ShapeError(f"matmul: {a.shape} x {b.shape} are not matrices that multiply")
         a32, b32 = a.f32(), b.f32()
         out = store(np.matmul(a32, b32), self.model_dtype)
         if not self.record:
@@ -129,8 +134,8 @@ class Tape:
 
         def backward(g: Tensor):
             g32 = g.f32()
-            return [None if a_const else _unrounded(g32 @ b32.T),
-                    None if b_const else _unrounded(a32.T @ g32)]
+            return [None if a_const else _unrounded(g32 @ b32.swapaxes(-1, -2)),
+                    None if b_const else _unrounded(a32.swapaxes(-1, -2) @ g32)]
 
         return self._emit("matmul", [a, b], out, backward)
 
@@ -147,15 +152,18 @@ class Tape:
         return self._emit("add", [a, b], out, backward)
 
     def bias_add(self, x: Tensor, b: Tensor) -> Tensor:
-        if x.shape[-1] != b.shape[-1] or b.data.ndim != 1:
+        """x [..., n] + b [n], or a stacked x [K, b, n] + b [K, n] slice by slice."""
+        stacked = b.data.ndim == 2
+        if x.shape[-1] != b.shape[-1] or x.data.ndim < 2 or b.data.ndim > 2 or (
+                stacked and (x.data.ndim, x.shape[0]) != (3, b.shape[0])):
             raise ShapeError(f"bias_add: shapes {x.shape} vs {b.shape}")
-        out = store(x.f32() + b.f32(), self.model_dtype)
+        out = store(x.f32() + b.f32()[..., None, :], self.model_dtype)
         if not self.record:
             return out
 
         def backward(g: Tensor):
-            g32 = g.f32()
-            return [g, _unrounded(g32.reshape(-1, g32.shape[-1]).sum(axis=0, dtype=np.float32))]
+            g32 = g.f32() if stacked else g.f32().reshape(-1, g.shape[-1])
+            return [g, _unrounded(g32.sum(axis=-2, dtype=np.float32))]
 
         return self._emit("bias_add", [x, b], out, backward)
 
@@ -219,16 +227,21 @@ class Tape:
         return self._emit("relu", [x], out, backward)
 
     def embedding_gather(self, table: Tensor, ids: np.ndarray) -> Tensor:
+        """Rows of a [V, E] table, or of a stacked [K, V, E] one by ids [K, ...]."""
         ids = np.asarray(ids)
-        if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
+        rows, (vocab, emb) = table.data, table.shape[-2:]
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab:
             raise ShapeError("embedding ids out of range")
-        out = Tensor(table.data[ids].copy(), table.dtype)
+        if rows.ndim == 3:  # slice k's ids index rows k*V.. of the [K*V, E] table
+            ids = ids + vocab * np.arange(len(rows)).reshape(-1, *[1] * (ids.ndim - 1))
+            rows = rows.reshape(-1, emb)
+        out = Tensor(rows[ids], table.dtype)
         if not self.record:
             return out
 
         def backward(g: Tensor):
             acc = np.zeros(table.shape, dtype=np.float32)
-            np.add.at(acc, ids.reshape(-1), g.f32().reshape(-1, table.shape[1]))
+            np.add.at(acc.reshape(-1, emb), ids.reshape(-1), g.f32().reshape(-1, emb))
             return [_unrounded(acc)]
 
         return self._emit("embedding_gather", [table], out, backward)
@@ -249,30 +262,30 @@ class Tape:
         return self._emit("concat_last_axis", [a, b], out, backward)
 
     def stack_steps(self, steps: list[Tensor]) -> Tensor:
-        """Stack per-step [batch, h] nodes into [batch, time, h]."""
-        out = Tensor(np.stack([s.data for s in steps], axis=1), steps[0].dtype)
+        """Stack per-step [..., batch, h] nodes into [..., batch, time, h]."""
+        out = Tensor(np.stack([s.data for s in steps], axis=-2), steps[0].dtype)
         if not self.record:
             return out
 
         def backward(g: Tensor):
-            return [Tensor(np.ascontiguousarray(g.data[:, t]), g.dtype)
+            return [Tensor(np.ascontiguousarray(g.data[..., t, :]), g.dtype)
                     for t in range(len(steps))]
 
         return self._emit("stack_steps", list(steps), out, backward)
 
     def attn_scores(self, query: Tensor, states: Tensor) -> Tensor:
-        """Dot-product scores: [b,h] x [b,t,h] -> [b,t], FP32-accumulated."""
+        """Dot-product scores: [...,b,h] x [...,b,t,h] -> [...,b,t], FP32-accumulated."""
         q32, s32 = query.f32(), states.f32()
         if q32.shape[-1] != s32.shape[-1]:
             raise ShapeError(f"attn_scores: hidden {q32.shape} vs {s32.shape}")
-        out = store(np.einsum("bh,bth->bt", q32, s32, dtype=np.float32), self.model_dtype)
+        out = store(np.einsum("...h,...th->...t", q32, s32, dtype=np.float32), self.model_dtype)
         if not self.record:
             return out
 
         def backward(g: Tensor):
             g32 = g.f32()
-            return [_unrounded(np.einsum("bt,bth->bh", g32, s32)),
-                    _unrounded(np.einsum("bt,bh->bth", g32, q32))]
+            return [_unrounded(np.einsum("...t,...th->...h", g32, s32)),
+                    _unrounded(np.einsum("...t,...h->...th", g32, q32))]
 
         return self._emit("attn_scores", [query, states], out, backward)
 
@@ -299,16 +312,16 @@ class Tape:
         return self._emit("attn_weights", [scores], out, backward)
 
     def attn_context(self, weights: Tensor, states: Tensor) -> Tensor:
-        """Convex combination of states: [b,t] x [b,t,h] -> [b,h]."""
+        """Convex combination of states: [...,b,t] x [...,b,t,h] -> [...,b,h]."""
         w32, s32 = weights.f32(), states.f32()
-        out = store(np.einsum("bt,bth->bh", w32, s32, dtype=np.float32), self.model_dtype)
+        out = store(np.einsum("...t,...th->...h", w32, s32, dtype=np.float32), self.model_dtype)
         if not self.record:
             return out
 
         def backward(g: Tensor):
             g32 = g.f32()
-            return [_unrounded(np.einsum("bh,bth->bt", g32, s32)),
-                    _unrounded(np.einsum("bt,bh->bth", w32, g32))]
+            return [_unrounded(np.einsum("...h,...th->...t", g32, s32)),
+                    _unrounded(np.einsum("...t,...h->...th", w32, g32))]
 
         return self._emit("attn_context", [weights, states], out, backward)
 
@@ -316,22 +329,23 @@ class Tape:
                                         mask: np.ndarray) -> Tensor:
         """Mean token-level cross-entropy over unmasked positions, FP32 only.
 
-        logits: [batch, time, vocab]; targets: [batch, time] int ids;
-        mask: [batch, time], zero exactly at padding.
+        logits: [..., batch, time, vocab]; targets: [..., batch, time] int ids;
+        mask: [..., batch, time], zero exactly at padding; one loss per ``...``.
         """
         targets = np.asarray(targets)
         m = np.asarray(mask, dtype=np.float32)
-        if logits.shape[:2] != targets.shape or targets.shape != m.shape:
+        if logits.shape[:-1] != targets.shape or targets.shape != m.shape:
             raise ShapeError("cross entropy: logits/targets/mask shapes disagree")
-        n_valid = float(m.sum())
-        if n_valid == 0:
+        lead = targets.shape[:-2]
+        n_valid = m.reshape(*lead, -1).sum(axis=-1, dtype=np.float32)
+        if not n_valid.all():
             raise ValueError("cross entropy over an all-padding batch")
         x = logits.f32()
         shifted = x - np.max(x, axis=-1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted, dtype=np.float32), axis=-1, dtype=np.float32))
-        b_idx, t_idx = np.indices(targets.shape)
-        ce = (logz - shifted[b_idx, t_idx, targets]).astype(np.float32)
-        loss = np.float32((ce * m).sum(dtype=np.float32) / np.float32(n_valid))
+        picked = (*np.indices(targets.shape), targets)
+        ce = (logz - shifted[picked]).astype(np.float32)
+        loss = (ce * m).reshape(*lead, -1).sum(axis=-1, dtype=np.float32) / n_valid
         out = Tensor(np.asarray(loss, dtype=np.float32), DType.F32)
         if not self.record:
             return out
@@ -339,10 +353,10 @@ class Tape:
         probs = np.exp(shifted - logz[..., None], dtype=np.float32)
 
         def backward(g: Tensor):
-            seed = g.f32().reshape(())
+            seed = g.f32().reshape(lead)
             d = probs.copy()
-            d[b_idx, t_idx, targets] -= 1.0
-            d *= (m * (seed / np.float32(n_valid)))[..., None]
+            d[picked] -= 1.0
+            d *= (m * (seed / n_valid)[..., None, None])[..., None]
             return [_unrounded(d)]
 
         return self._emit("softmax_cross_entropy", [logits], out, backward, is_loss=True)

@@ -88,8 +88,8 @@ class Batch:
         return self.source_ids.shape[0]
 
     def decoder_inputs(self) -> np.ndarray:
-        bos = np.full((self.size, 1), BOS_ID, dtype=self.target_ids.dtype)
-        return np.concatenate([bos, self.target_ids[:, :-1]], axis=1)
+        bos = np.full((*self.target_ids.shape[:-1], 1), BOS_ID, dtype=self.target_ids.dtype)
+        return np.concatenate([bos, self.target_ids[..., :-1]], axis=-1)
 
 
 @dataclass
@@ -307,12 +307,12 @@ class RNNEncoder:
         return p
 
     def encode(self, tape: Tape, params: dict[str, Tensor], batch: Batch) -> Representation:
-        b, src_len = batch.source_ids.shape
-        steps = [tape.embedding_gather(params["enc/emb"], batch.source_ids[:, t])
+        *rows, src_len = batch.source_ids.shape
+        steps = [tape.embedding_gather(params["enc/emb"], batch.source_ids[..., t])
                  for t in range(src_len)]
         for l in range(self.layers):
             w, u, bias = params[f"enc/l{l}/w"], params[f"enc/l{l}/u"], params[f"enc/l{l}/b"]
-            h = tape.constant(Tensor.from_array(np.zeros((b, self.hidden)), tape.model_dtype))
+            h = tape.constant(Tensor.from_array(np.zeros((*rows, self.hidden)), tape.model_dtype))
             outs = []
             for x in steps:
                 h = tape.tanh(tape.bias_add(tape.add(tape.matmul(x, w), tape.matmul(h, u)), bias))
@@ -357,8 +357,9 @@ class AttentionDecoder:
         joined = tape.concat_last_axis(h, context)
         return tape.bias_add(tape.matmul(joined, params["dec/w_out"]), params["dec/b_out"])
 
-    def initial_state(self, tape: Tape, batch_size: int) -> Tensor:
-        zeros = np.zeros((batch_size, self.hidden), dtype=np.float32)
+    def initial_state(self, tape: Tape, *rows: int) -> Tensor:
+        """Zero states for ``rows`` rows, or for a stacked batch's [K, b]."""
+        zeros = np.zeros((*rows, self.hidden), dtype=np.float32)
         return tape.constant(Tensor.from_array(zeros, tape.model_dtype))
 
     def decode_teacher_forced(self, tape: Tape, params: dict[str, Tensor],
@@ -367,10 +368,10 @@ class AttentionDecoder:
             raise ValueError(
                 f"decoder hidden {self.hidden} != encoder hidden {rep.states.shape[-1]}")
         inputs = batch.decoder_inputs()
-        h = self.initial_state(tape, batch.size)
+        h = self.initial_state(tape, *inputs.shape[:-1])
         logits_steps = []
-        for t in range(inputs.shape[1]):
-            x = tape.embedding_gather(params["dec/emb"], inputs[:, t])
+        for t in range(inputs.shape[-1]):
+            x = tape.embedding_gather(params["dec/emb"], inputs[..., t])
             h = self._cell(tape, params, x, h)
             logits_steps.append(self._step_logits(tape, params, rep, h))
         return tape.stack_steps(logits_steps)
@@ -426,20 +427,23 @@ class Seq2SeqModel:
             for name, arr in sorted(arrays.items())
         }
 
-    def _leaves(self, tape: Tape) -> dict[str, Tensor]:
-        return {name: tape.leaf(v) for name, v in self.variables.items()}
+    def _leaves(self, tape: Tape, variables=None) -> dict[str, Tensor]:
+        return {name: tape.leaf(v) for name, v in (variables or self.variables).items()}
 
-    def teacher_forced(self, tape: Tape, batch: Batch) -> tuple[Tensor, Tensor, Representation]:
-        """(loss, logits, representation) of one batch, computed on ``tape``."""
-        params = self._leaves(tape)
+    def teacher_forced(self, tape: Tape, batch: Batch, variables=None
+                       ) -> tuple[Tensor, Tensor, Representation]:
+        """(loss, logits, representation) of one batch, computed on ``tape``
+        from ``variables`` (the model's own by default)."""
+        params = self._leaves(tape, variables)
         rep = self.encoder.encode(tape, params, batch)
         logits = self.decoder.decode_teacher_forced(tape, params, rep, batch)
         return self.loss_fn(tape, logits, batch), logits, rep
 
-    def forward(self, batch: Batch) -> tuple[Tensor, Tape]:
-        """Teacher-forced loss for one batch; returns (loss tensor, tape)."""
+    def forward(self, batch: Batch, variables=None) -> tuple[Tensor, Tape]:
+        """Teacher-forced loss for one batch; returns (loss tensor, tape). With
+        ``variables`` and batch stacked on a leading replica axis, one loss each."""
         tape = Tape(self.mode)
-        return self.teacher_forced(tape, batch)[0], tape
+        return self.teacher_forced(tape, batch, variables)[0], tape
 
     def greedy_decode(self, source_ids: np.ndarray, source_mask: np.ndarray,
                       max_len: int = 32, *, rep: Representation | None = None

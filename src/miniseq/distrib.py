@@ -9,13 +9,14 @@ store (see WorkerGroup). Both modes average the same rank-order sum
 (rank_order_sum) of the flattened gradients and update through the same
 Replica.apply, so they end with bit-identical weights.
 
-In-process allreduce ranks run on a thread pool that the group creates on
-its first step, and they take turns: a rank computes only while it holds the
-transport's turn, a lock that the rank's recv gives up while it waits for a
-frame, so one thread runs Python at a time instead of K threads contending
-for the GIL. That buys no parallelism, so the pool's threads share one CPU
-and a hand-off wakes the next rank on a warm core, not a cold idle one; one
-OS process per rank over TcpTransport is the path to using more than one core.
+A group step first computes every local rank's loss and gradients on one
+tape, their weights and batches stacked on a leading replica axis
+(forward_backward_all). In process, the per-rank rest of an allreduce step
+runs on a thread pool, and the ranks take turns: a rank works only while it
+holds the transport's turn, a lock that its recv gives up while it waits for
+a frame. That buys no parallelism, so the pool's threads share one CPU and a
+hand-off wakes the next rank on a warm core; one OS process per rank over
+TcpTransport is the path to using more than one core.
 
 The ring is an allgather: in K-1 exchanges each rank passes the frame it
 received last to the next rank, so every rank ends with all K contributions
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, backward
-from .blocks import DataLayer, Seq2SeqModel
+from .autodiff import Variable, backward
+from .blocks import Batch, DataLayer, Seq2SeqModel
 from .mixed_precision import (
     RegularizerRegistry,
     StaticScale,
@@ -110,11 +111,11 @@ class InProcessTransport:
     """One FIFO per ring edge (rank r to rank r+1), shared by worker threads.
 
     Like TcpTransport, it carries ring-neighbor traffic only. The transport
-    also carries a turn: a re-entrant lock that a worker holds while it
-    computes, so that one worker runs at a time. send and recv take the turn
-    for their own work; recv waits on its edge's condition, which gives the
-    turn up for the wait and takes it back before recv returns. abort wakes
-    every waiting recv at once.
+    also carries a turn: a re-entrant lock that a worker holds for its
+    per-rank phase, so that one worker runs at a time. send and recv take
+    the turn for their own work; recv waits on its edge's condition, which
+    gives the turn up for the wait and takes it back before recv returns.
+    abort wakes every waiting recv at once.
     """
 
     def __init__(self, num_workers: int, timeout: float = 60.0):
@@ -440,14 +441,14 @@ class Replica:
 
     def forward_backward(self, step: int):
         """Forward on this shard's batch, scaled backward, local finite check."""
-        batch = self.data.batch(step, self.batch_size)
-        loss, tape = self.model.forward(batch)
-        grads = backward(tape, loss_seed=self.scale)
+        tape, loss, grads, tokens = forward_backward_all([self], step)[0]
+        return (tape, loss, *self.check(step, grads), tokens)
+
+    def check(self, step: int, grads: dict[str, Tensor]) -> tuple[dict[str, Tensor], bool]:
+        """The raw gradients after grad_tap, and whether they are all finite."""
         if self.grad_tap is not None:
             grads = self.grad_tap(step, grads)
-        finite = check_finite_all(grads)
-        tokens = float(batch.target_mask.sum())
-        return tape, loss.item(), grads, finite, tokens
+        return grads, check_finite_all(grads)
 
     def unscale(self, grads: dict[str, Tensor]) -> dict[str, Tensor]:
         return unscale_to_f32(grads, self.scale)
@@ -479,11 +480,42 @@ class Replica:
         self.state = other.state
 
 
+def forward_backward_all(replicas: list[Replica], step: int) -> list[tuple]:
+    """Each replica's (tape, loss, raw scaled gradients, tokens) at ``step``.
+
+    Replicas whose batches share a shape share one tape, whose leaves are their
+    own weights stacked on a leading replica axis and whose backward seeds
+    slice k with replica k's scale: slice k has the bits of replica k's own
+    tape. A lone replica's tape has no replica axis."""
+    batches = [r.data.batch(step, r.batch_size) for r in replicas]
+    by_shape: dict[tuple, list[int]] = {}
+    for k, b in enumerate(batches):
+        by_shape.setdefault((b.source_ids.shape, b.target_ids.shape), []).append(k)
+    out = [None] * len(replicas)
+    for ks in by_shape.values():
+        model, lone = replicas[ks[0]].model, len(ks) == 1
+        if lone:
+            loss, tape = model.forward(batches[ks[0]])
+        else:
+            stacked = {name: Variable(name, Tensor(np.stack(
+                [replicas[k].model.variables[name].value.data for k in ks]), v.value.dtype),
+                v.trainable) for name, v in model.variables.items()}
+            loss, tape = model.forward(Batch(*map(np.stack, zip(
+                *(vars(batches[k]).values() for k in ks)))), stacked)
+        grads = backward(tape, loss_seed=np.reshape([replicas[k].scale for k in ks], loss.shape))
+        for i, k in enumerate(ks):
+            own = grads if lone else {n: Tensor(g.data[i], g.dtype) for n, g in grads.items()}
+            out[k] = (tape, float(loss.f32()[i]), own, float(batches[k].target_mask.sum()))
+    return out
+
+
 def distributed_train_step(replica: Replica, transport, rank: int, num_workers: int,
-                           step: int) -> StepMetrics:
-    """One synchronous data-parallel step (allreduce mode), run per worker;
+                           step: int, computed: tuple | None = None) -> StepMetrics:
+    """One synchronous data-parallel step (allreduce mode), run per worker from
+    its share of forward_backward_all, ``computed`` (made here when None);
     the tokens are this worker's."""
-    tape, loss, grads, finite, tokens = replica.forward_backward(step)
+    _, loss, grads, tokens = computed or forward_backward_all([replica], step)[0]
+    grads, finite = replica.check(step, grads)
     any_overflow = allreduce_flag_or(transport, rank, num_workers, not finite, step)
     if any_overflow:
         replica.on_overflow()
@@ -496,31 +528,32 @@ def distributed_train_step(replica: Replica, transport, rank: int, num_workers: 
 
 def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
     """Single-process aggregation over towers that share one parameter store:
-    every tower's backward, then the rank-order sum of their flattened grads
-    averaged and applied once, or on any overflow one back-off of the scale.
-    The tokens are all the towers'."""
-    results = [r.forward_backward(step) for r in replicas]
-    losses = [loss for _, loss, _, _, _ in results]
+    every tower's gradients (forward_backward_all), then the rank-order sum of
+    their flattened grads averaged and applied once, or on any overflow one
+    back-off of the scale. The tokens are all the towers'."""
+    results = forward_backward_all(replicas, step)
+    checked = [r.check(step, grads) for r, (_, _, grads, _) in zip(replicas, results)]
     tokens = sum(tok for *_, tok in results)
-    mean_loss = float(np.mean(losses))
-    if not all(finite for _, _, _, finite, _ in results):
+    mean_loss = float(np.mean([loss for _, loss, _, _ in results]))
+    if not all(finite for _, finite in checked):
         replicas[0].on_overflow()
         return StepMetrics(step, mean_loss, False, replicas[0].scale, None, None, tokens)
     summed = rank_order_sum([r.bucket.flatten(r.unscale(grads))
-                             for r, (_, _, grads, _, _) in zip(replicas, results)])
+                             for r, (grads, _) in zip(replicas, checked)])
     grad_norm, lr = replicas[0].apply_mean(summed, len(replicas), step)
     return StepMetrics(step, mean_loss, True, replicas[0].scale, grad_norm, lr, tokens)
 
 
 def _rank_step(replica: Replica, transport: InProcessTransport, rank: int,
-               num_workers: int, step: int) -> StepMetrics:
-    """One rank's allreduce step on a pool thread, computed while it holds the turn.
+               num_workers: int, step: int, computed: tuple) -> StepMetrics:
+    """One rank's share of an allreduce step on a pool thread, run while it holds the turn.
 
     A failure aborts the transport so that the other ranks stop waiting.
     """
     with transport.turn():
         try:
-            return distributed_train_step(replica, transport, rank, num_workers, step)
+            return distributed_train_step(replica, transport, rank, num_workers, step,
+                                          computed)
         except BaseException:
             transport.abort()
             raise
@@ -541,9 +574,10 @@ class WorkerGroup:
     run_step alone picks how they step, totals the group's tokens and times
     the step.
 
-    mode "allreduce" with K > 1 in process runs each step's K ranks on a
-    pool of K threads, created on the first step, that take turns on the
-    transport (see InProcessTransport) and meet in the ring collectives.
+    Every step starts with one forward_backward_all over the local ranks, in
+    the calling thread. Mode "allreduce" with K > 1 in process then runs the
+    K ranks' per-rank phases on a pool of K threads, created on the first
+    step, that take turns on the transport and meet in the ring collectives.
     The pool's threads are pinned to the caller's lowest allowed CPU, as
     one rank runs at a time anyway; the caller's thread stays unpinned.
     close() stops the threads, and so does dropping the group: a pool thread
@@ -592,9 +626,10 @@ class WorkerGroup:
                        if len(cpus) > 1 else {})
                 self._pool = ThreadPoolExecutor(self.num_workers,
                                                 thread_name_prefix="miniseq-worker", **pin)
+            computed = forward_backward_all(self.replicas, step)
             futures = [self._pool.submit(_rank_step, replica, self.transport, rank,
-                                         self.num_workers, step)
-                       for rank, replica in enumerate(self.replicas)]
+                                         self.num_workers, step, part)
+                       for rank, (replica, part) in enumerate(zip(self.replicas, computed))]
             errors = [f.exception() for f in futures]  # waits for every rank
             failures = [(rank, e) for rank, e in enumerate(errors) if e is not None]
             if failures:

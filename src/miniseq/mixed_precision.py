@@ -112,8 +112,13 @@ class StaticScale:
         return {"kind": self.kind, **{name: getattr(self, name) for name in self.state_fields}}
 
     def load_dict(self, d: dict) -> None:
-        if d["kind"] != self.kind:
-            raise ValueError(f"a {d['kind']!r} scale state cannot restore a {self.kind!r} policy")
+        """Set every state field from ``d``, or raise ValueError and set none."""
+        kind = d.get("kind")
+        if kind != self.kind:
+            raise ValueError(f"a {kind!r} scale state cannot restore a {self.kind!r} policy")
+        missing = [name for name in self.state_fields if name not in d]
+        if missing:
+            raise ValueError(f"the {self.kind!r} scale state lacks {missing[0]!r}")
         for name in self.state_fields:
             setattr(self, name, d[name])
 

@@ -599,3 +599,115 @@ class TestNoRecordTape:
             assert g.data.tobytes() == w.data.tobytes()
         with pytest.raises(ValueError, match="empty tape"):
             backward(idle, 1.0)
+
+
+def _mask(rng, shape):
+    """A 0/1 mask with the first position of every row valid."""
+    m = (rng.uniform(size=shape) < 0.7).astype(np.float32)
+    m[..., 0] = 1.0
+    return m
+
+
+def _softmax_ce(logits, targets, mask):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(z).sum(axis=-1))
+    ce = logz - np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+    return (ce * mask).sum() / mask.sum()
+
+
+def _masked_softmax(x, mask):
+    e = np.exp(x - np.max(np.where(mask > 0, x, -np.inf), axis=-1, keepdims=True)) * mask
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# op -> (tape op on leaves v and constants c, its float64 reference on one
+# slice, one slice's leaf shapes, one slice's constants)
+LEADING_AXIS_OPS = {
+    "matmul": (lambda t, v, c: t.matmul(v["a"], v["b"]), lambda p, c: p["a"] @ p["b"],
+               {"a": (3, 4), "b": (4, 2)}, lambda rng: {}),
+    "bias_add": (lambda t, v, c: t.bias_add(v["x"], v["b"]), lambda p, c: p["x"] + p["b"],
+                 {"x": (5, 3), "b": (3,)}, lambda rng: {}),
+    "embedding_gather": (lambda t, v, c: t.embedding_gather(v["table"], c["ids"]),
+                         lambda p, c: p["table"][c["ids"]], {"table": (4, 3)},
+                         lambda rng: {"ids": rng.integers(0, 4, size=(2, 3))}),
+    "stack_steps": (lambda t, v, c: t.stack_steps([v["s0"], v["s1"], v["s0"]]),
+                    lambda p, c: np.stack([p["s0"], p["s1"], p["s0"]], axis=1),
+                    {"s0": (2, 3), "s1": (2, 3)}, lambda rng: {}),
+    "attn_scores": (lambda t, v, c: t.attn_scores(v["q"], v["s"]),
+                    lambda p, c: np.einsum("bh,bth->bt", p["q"], p["s"]),
+                    {"q": (2, 4), "s": (2, 3, 4)}, lambda rng: {}),
+    "attn_weights": (lambda t, v, c: t.attn_weights(v["x"], c["mask"]),
+                     lambda p, c: _masked_softmax(p["x"], c["mask"]),
+                     {"x": (2, 3)}, lambda rng: {"mask": _mask(rng, (2, 3))}),
+    "attn_context": (lambda t, v, c: t.attn_context(v["w"], v["s"]),
+                     lambda p, c: np.einsum("bt,bth->bh", p["w"], p["s"]),
+                     {"w": (2, 3), "s": (2, 3, 4)}, lambda rng: {}),
+    "softmax_cross_entropy": (
+        lambda t, v, c: t.softmax_cross_entropy_with_mask(v["logits"], c["targets"], c["mask"]),
+        lambda p, c: _softmax_ce(p["logits"], c["targets"], c["mask"]),
+        {"logits": (2, 3, 5)},
+        lambda rng: {"targets": rng.integers(0, 5, size=(2, 3)), "mask": _mask(rng, (2, 3))}),
+}
+IS_LOSS = {"softmax_cross_entropy"}
+
+
+class TestLeadingAxes:
+    """K slices stacked on a leading axis: each op gives slice k what it gives slice k alone."""
+
+    K = 3
+
+    @staticmethod
+    def slices(shapes, make_consts, k, seed):
+        rng = np.random.default_rng(seed)
+        params = [{n: rng.uniform(-1.5, 1.5, size=s) for n, s in shapes.items()}
+                  for _ in range(k)]
+        return params, [make_consts(rng) for _ in range(k)]
+
+    @staticmethod
+    def stacked(slices):
+        return {n: np.stack([s[n] for s in slices]) for n in slices[0]}
+
+    @pytest.mark.parametrize("name", sorted(LEADING_AXIS_OPS))
+    def test_finite_differences_with_a_leading_axis(self, name):
+        op, ref, shapes, make_consts = LEADING_AXIS_OPS[name]
+        _, consts = self.slices(shapes, make_consts, self.K, 0)
+        stacked_consts = self.stacked(consts)
+        out = (lambda t, y: y) if name in IS_LOSS else (lambda t, y: t.tanh(y))
+        fn = (lambda x: x) if name in IS_LOSS else np.tanh
+
+        def shadow(p):
+            return float(sum(fn(ref({n: a[k] for n, a in p.items()}, consts[k])).sum()
+                             for k in range(self.K)))
+
+        check_primitive(lambda t, v: t.reduce_sum(out(t, op(t, v, stacked_consts))), shadow,
+                        {n: (self.K, *s) for n, s in shapes.items()}, n_points=4)
+
+    @pytest.mark.parametrize("mode", ["float32", "mixed"])
+    @pytest.mark.parametrize("name", sorted(LEADING_AXIS_OPS))
+    def test_slice_k_is_bit_equal_to_the_op_on_slice_k(self, name, mode):
+        op, _, shapes, make_consts = LEADING_AXIS_OPS[name]
+        params, consts = self.slices(shapes, make_consts, self.K, 1)
+        seeds = [2.0 ** e for e in np.random.default_rng(2).integers(-2, 6, size=self.K)]
+
+        def g_out(k, shape):  # slice k's output gradient
+            return np.random.default_rng((3, k)).uniform(-1, 1, size=shape)
+
+        def run(p, c, k=None):
+            tape = Tape(mode)
+            dtype = tape.model_dtype
+            leaves = {n: tape.leaf(Variable(n, Tensor.from_array(a, dtype))) for n, a in p.items()}
+            y = op(tape, leaves, c)
+            if name in IS_LOSS:
+                return y, backward(tape, seeds if k is None else seeds[k], loss=y)
+            g = (np.stack([g_out(j, y.shape[1:]) for j in range(self.K)]) if k is None
+                 else g_out(k, y.shape))
+            tape.reduce_sum(tape.mul(y, tape.constant(Tensor.from_array(g, dtype))))
+            return y, backward(tape, 1.0)
+
+        y_all, g_all = run(self.stacked(params), self.stacked(consts))
+        for k in range(self.K):
+            y_k, g_k = run(params[k], consts[k], k)
+            want = y_k.data.reshape(-1) if name in IS_LOSS else y_k.data
+            assert y_all.data[k].tobytes() == want.tobytes(), f"{name} output, slice {k}"
+            for n in params[k]:
+                assert g_all[n].data[k].tobytes() == g_k[n].data.tobytes(), f"d{n}, slice {k}"

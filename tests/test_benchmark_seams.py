@@ -26,3 +26,16 @@ def test_traced_trial_calls_every_seam(name, tmp_path):
                               recorder=rec)
     assert trial.errors == []
     assert harness.unused_seams(workload, rec.spans) == []
+
+
+@pytest.mark.parametrize("name", sorted(harness.WORKLOADS))
+def test_one_tape_of_159_ops_per_group_step(name, tmp_path):
+    # K=4 ranks share one stacked tape per step; a tape per rank would show
+    # here as four backward calls per step, with the same bits
+    rec = tracing.Recorder()
+    trial = harness.run_trial(harness.WORKLOADS[name], 1, str(tmp_path), steps=2,
+                              eval_batches=1, recorder=rec)
+    assert trial.errors == []
+    tapes = [(s.step, s.count) for s in rec.spans
+             if s.name == "autodiff.backward" and s.step is not None]
+    assert tapes == [(0, 159), (1, 159)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from miniseq import runner
-from miniseq.blocks import CopyTask, ModelSpec, Seq2SeqModel
+from miniseq.blocks import CopyTask, ModelSpec, ParallelText, Seq2SeqModel
 from miniseq.config import parse_config
 from miniseq.distrib import (
     TAG_FLAG,
@@ -23,6 +23,7 @@ from miniseq.distrib import (
     WorkerGroup,
     allreduce_flag_or,
     chunk_payload,
+    forward_backward_all,
     frame,
     parse_chunk,
     ring_allreduce,
@@ -369,6 +370,85 @@ class TestWorkerGroups:
         for s in range(5):
             group.run_step(s)
             assert len(set(group.parameter_digests())) == 1
+
+
+def assert_same_share(got, want):
+    """forward_backward_all's (tape, loss, grads, tokens) against a lone
+    replica's forward_backward 5-tuple: the same loss, gradient bits and tokens."""
+    _, loss, grads, tokens = got
+    _, want_loss, want_grads, _, want_tokens = want
+    assert (loss, tokens) == (want_loss, want_tokens)
+    assert sorted(grads) == sorted(want_grads)
+    for name, g in grads.items():
+        assert g.dtype is want_grads[name].dtype and g.shape == want_grads[name].shape
+        assert g.data.tobytes() == want_grads[name].data.tobytes(), name
+
+
+def perturb(replica, name="dec/w_out"):
+    v = replica.model.variables[name]
+    arr = v.value.f32().copy()
+    arr[0, 0] += 0.5
+    v.value = Tensor.from_array(arr, v.value.dtype)
+
+
+class TestStackedComputePhase:
+    """The group's one tape per step, against a lone replica on each shard."""
+
+    POLICIES = {"float32": ("float32", lambda r: None),
+                "mixed-static-1024": ("mixed", lambda r: StaticScale(1024.0)),
+                # each rank its own scale: the seed is one value per slice
+                "mixed-backoff": ("mixed", lambda r: BackoffScale(scale=2.0 ** (10 + r)))}
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_rank_matches_a_lone_replica_on_its_shard(self, k, policy):
+        mode, scale = self.POLICIES[policy]
+
+        def replica(r):
+            return small_replica(r, k, mode=mode, seed=5 + r, scale_state=scale(r))
+
+        replicas = [replica(r) for r in range(k)]
+        for step in range(3):
+            got = forward_backward_all(replicas, step)
+            assert len({id(tape) for tape, *_ in got}) == 1  # one tape for the group
+            for r in range(k):
+                assert_same_share(got[r], replica(r).forward_backward(step))
+
+    @pytest.mark.parametrize("mode", ["float32", "mixed"])
+    def test_a_perturbed_rank_gets_the_gradients_of_its_own_weights(self, mode):
+        k = 3
+        replicas = [small_replica(r, k, mode=mode) for r in range(k)]
+        perturb(replicas[1])
+        got = forward_backward_all(replicas, 0)
+        for r in range(k):
+            # rank r's shard on its own weights, and on rank 1's if r is not 1 or 0's if it is
+            own, swapped = small_replica(r, k, mode=mode), small_replica(r, k, mode=mode)
+            perturb(own if r == 1 else swapped)
+            assert_same_share(got[r], own.forward_backward(0))
+            swapped_grads = swapped.forward_backward(0)[2]
+            assert any(g.data.tobytes() != swapped_grads[n].data.tobytes()
+                       for n, g in got[r][2].items())
+
+    def test_parallel_text_shards_of_different_lengths_get_their_own_tapes(self, tmp_path):
+        # with batch 1, shard r of K reads lines r, r + K, ...: lengths 3, 5, 3, 5
+        lines = ["a b c", "a b c d e", "c b a", "e d c b a"] * 2
+        (tmp_path / "src.txt").write_text("\n".join(lines) + "\n")
+        (tmp_path / "tgt.txt").write_text("\n".join(lines) + "\n")
+        text = ParallelText(str(tmp_path / "src.txt"), str(tmp_path / "tgt.txt"))
+        spec = ModelSpec(encoder_params={"layers": 1, "hidden": 8, "emb_size": 6},
+                         decoder_params={"hidden": 8, "emb_size": 6})
+        for k in (2, 4):
+            def replica(r):
+                model = Seq2SeqModel(spec, vocab_size=text.vocab.size, seed=r)
+                return Replica(model, text.shard(r, k), Optimizer("sgd"),
+                               LRPolicy("constant", 0.1), batch_size=1)
+
+            for step in range(2):
+                got = forward_backward_all([replica(r) for r in range(k)], step)
+                tapes = [id(tape) for tape, *_ in got]
+                assert len(set(tapes)) == 2 and tapes[0] != tapes[1]
+                for r in range(k):
+                    assert_same_share(got[r], replica(r).forward_backward(step))
 
 
 def test_benchmark_model_allreduce_step_traffic():

@@ -520,6 +520,39 @@ class TestCheckpoint:
             load_checkpoint(cfg.checkpoint_dir, replica)
         assert state() == before
 
+    def test_scale_state_without_a_field_restores_nothing(self, tmp_path):
+        from miniseq.mixed_precision import BackoffScale
+        policy = BackoffScale(scale=2.0 ** 20)
+        with pytest.raises(ValueError, match="'good_steps'"):
+            policy.load_dict({"kind": "backoff", "scale": 262144.0})
+        assert policy.to_dict() == {"kind": "backoff", "scale": 2.0 ** 20, "good_steps": 0}
+
+        cfg = base_config(tmp_path, dtype="mixed", loss_scaling="Backoff",
+                          loss_scaling_params={"scale": 2.0 ** 20, "growth_interval": 2})
+        source, replica = build_replica(cfg, 0, 1), build_replica(cfg, 0, 1)
+        for steps, r in ((3, source), (1, replica)):
+            group = WorkerGroup([r])
+            for s in range(steps):
+                group.run_step(s)
+        save_checkpoint(cfg.checkpoint_dir, source, 3, cfg.content_hash())
+        path = os.path.join(cfg.checkpoint_dir, "manifest.json")
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        del manifest["loss_scale_state"]["good_steps"]
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(manifest, f)
+
+        def state():
+            return (replica.parameter_digest(), replica.state.scale_state.to_dict(),
+                    {n: m.data.tobytes() for n, m in replica.state.master.items()},
+                    replica.optimizer.t)
+
+        before = state()
+        assert before[1]["scale"] != manifest["loss_scale_state"]["scale"]
+        with pytest.raises(CheckpointError, match="'good_steps'"):
+            load_checkpoint(cfg.checkpoint_dir, replica)
+        assert state() == before
+
     def test_resume_at_or_past_max_steps_keeps_the_checkpoint(self, tmp_path):
         def config(directory, steps):
             return base_config(tmp_path, max_steps=steps, eval_every=0,
