@@ -27,10 +27,11 @@ replica k alone. Cross entropy gives one loss per leading index, and a seed
 with one value per slice scales each replica by its own loss scale.
 
 A tape built with ``record=False`` is for evaluation and decoding: every op
-computes and rounds its output exactly as on a recording tape, but nothing
-is appended to ``ops``, no backward closure is built, and arrays that only
-backward reads (the cross-entropy probabilities, the relu mask) are never
-made. backward() refuses such a tape, whose ``ops`` stay empty.
+computes and rounds its output exactly as on a recording tape and builds its
+backward closure, which Tape._emit, the one place that reads ``record``,
+drops instead of appending to ``ops``. Arrays that only backward reads (the
+cross-entropy probabilities, the relu mask) are made inside the closure, so
+such a tape never makes them. backward() refuses it, as its ``ops`` stay empty.
 """
 
 from __future__ import annotations
@@ -85,14 +86,11 @@ class Tape:
             raise ValueError(f"mode must be one of {MODES}")
         self.mode = mode
         self.record = record
+        self.model_dtype = DType.F16 if mode == "mixed" else DType.F32
         self.ops: list[_Op] = []
         self.variables: dict[str, Variable] = {}
         self._leaves: dict[str, Tensor] = {}
         self._constants: dict[int, Tensor] = {}
-
-    @property
-    def model_dtype(self) -> DType:
-        return DType.F16 if self.mode == "mixed" else DType.F32
 
     def activation_bytes(self) -> int:
         """Bytes held by recorded intermediate tensors (loss scalars excluded)."""
@@ -112,7 +110,11 @@ class Tape:
         return t
 
     def _emit(self, kind, inputs, out: Tensor, backward, is_loss=False) -> Tensor:
-        self.ops.append(_Op(kind, inputs, out, backward, is_loss))
+        """``out``; a recording tape first appends it to ``ops`` as ``kind`` of
+        ``inputs`` with its ``backward`` closure. Every op ends here, so this
+        is the one place that reads ``record``."""
+        if self.record:
+            self.ops.append(_Op(kind, inputs, out, backward, is_loss))
         return out
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -128,8 +130,6 @@ class Tape:
             raise ShapeError(f"matmul: {a.shape} x {b.shape} are not matrices that multiply")
         a32, b32 = a.f32(), b.f32()
         out = store(np.matmul(a32, b32), self.model_dtype)
-        if not self.record:
-            return out
         a_const, b_const = id(a) in self._constants, id(b) in self._constants
 
         def backward(g: Tensor):
@@ -143,8 +143,6 @@ class Tape:
         if a.shape != b.shape:
             raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
         out = store(a.f32() + b.f32(), self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             return [g, g]
@@ -158,8 +156,6 @@ class Tape:
                 stacked and (x.data.ndim, x.shape[0]) != (3, b.shape[0])):
             raise ShapeError(f"bias_add: shapes {x.shape} vs {b.shape}")
         out = store(x.f32() + b.f32()[..., None, :], self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             g32 = g.f32() if stacked else g.f32().reshape(-1, g.shape[-1])
@@ -172,8 +168,6 @@ class Tape:
             raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
         a32, b32 = a.f32(), b.f32()
         out = store(a32 * b32, self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -184,8 +178,6 @@ class Tape:
     def scale(self, x: Tensor, c: float) -> Tensor:
         c32 = np.float32(c)
         out = store(x.f32() * c32, self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             return [_unrounded(g.f32() * c32)]
@@ -195,8 +187,6 @@ class Tape:
     def tanh(self, x: Tensor) -> Tensor:
         y32 = np.tanh(x.f32())
         out = store(y32, self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             return [_unrounded(g.f32() * (1.0 - y32 * y32))]
@@ -206,8 +196,6 @@ class Tape:
     def sigmoid(self, x: Tensor) -> Tensor:
         y32 = 1.0 / (1.0 + np.exp(-x.f32()))
         out = store(y32, self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             return [_unrounded(g.f32() * y32 * (1.0 - y32))]
@@ -217,12 +205,9 @@ class Tape:
     def relu(self, x: Tensor) -> Tensor:
         x32 = x.f32()
         out = store(np.maximum(x32, 0.0), self.model_dtype)
-        if not self.record:
-            return out
-        pos = x32 > 0
 
         def backward(g: Tensor):
-            return [_unrounded(g.f32() * pos)]
+            return [_unrounded(g.f32() * (x32 > 0))]
 
         return self._emit("relu", [x], out, backward)
 
@@ -236,8 +221,6 @@ class Tape:
             ids = ids + vocab * np.arange(len(rows)).reshape(-1, *[1] * (ids.ndim - 1))
             rows = rows.reshape(-1, emb)
         out = Tensor(rows[ids], table.dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             acc = np.zeros(table.shape, dtype=np.float32)
@@ -250,11 +233,9 @@ class Tape:
         if a.shape[:-1] != b.shape[:-1]:
             raise ShapeError(f"concat: shapes {a.shape} vs {b.shape}")
         out = Tensor(np.concatenate([a.data, b.data], axis=-1), a.dtype)
-        if not self.record:
-            return out
-        split = a.shape[-1]
 
         def backward(g: Tensor):
+            split = a.shape[-1]
             ga = Tensor(np.ascontiguousarray(g.data[..., :split]), g.dtype)
             gb = Tensor(np.ascontiguousarray(g.data[..., split:]), g.dtype)
             return [ga, gb]
@@ -264,8 +245,6 @@ class Tape:
     def stack_steps(self, steps: list[Tensor]) -> Tensor:
         """Stack per-step [..., batch, h] nodes into [..., batch, time, h]."""
         out = Tensor(np.stack([s.data for s in steps], axis=-2), steps[0].dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             return [Tensor(np.ascontiguousarray(g.data[..., t, :]), g.dtype)
@@ -279,8 +258,6 @@ class Tape:
         if q32.shape[-1] != s32.shape[-1]:
             raise ShapeError(f"attn_scores: hidden {q32.shape} vs {s32.shape}")
         out = store(np.einsum("...h,...th->...t", q32, s32, dtype=np.float32), self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -301,8 +278,6 @@ class Tape:
         e = np.exp(shifted, dtype=np.float32) * m
         w32 = (e / np.sum(e, axis=-1, keepdims=True, dtype=np.float32)).astype(np.float32)
         out = store(w32, self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -315,8 +290,6 @@ class Tape:
         """Convex combination of states: [...,b,t] x [...,b,t,h] -> [...,b,h]."""
         w32, s32 = weights.f32(), states.f32()
         out = store(np.einsum("...t,...th->...h", w32, s32, dtype=np.float32), self.model_dtype)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             g32 = g.f32()
@@ -347,14 +320,10 @@ class Tape:
         ce = (logz - shifted[picked]).astype(np.float32)
         loss = (ce * m).reshape(*lead, -1).sum(axis=-1, dtype=np.float32) / n_valid
         out = Tensor(np.asarray(loss, dtype=np.float32), DType.F32)
-        if not self.record:
-            return out
-
-        probs = np.exp(shifted - logz[..., None], dtype=np.float32)
 
         def backward(g: Tensor):
             seed = g.f32().reshape(lead)
-            d = probs.copy()
+            d = np.exp(shifted - logz[..., None], dtype=np.float32)  # the probabilities
             d[picked] -= 1.0
             d *= (m * (seed / n_valid)[..., None, None])[..., None]
             return [_unrounded(d)]
@@ -362,23 +331,18 @@ class Tape:
         return self._emit("softmax_cross_entropy", [logits], out, backward, is_loss=True)
 
     def reduce_mean(self, x: Tensor) -> Tensor:
-        n = x.size
         out = Tensor(np.asarray(np.mean(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())
-            return [_unrounded(np.full(x.shape, seed / np.float32(n), dtype=np.float32))]
+            return [_unrounded(np.full(x.shape, seed / np.float32(x.size), dtype=np.float32))]
 
         return self._emit("reduce_mean", [x], out, backward, is_loss=True)
 
     def reduce_sum(self, x: Tensor) -> Tensor:
         out = Tensor(np.asarray(np.sum(x.f32(), dtype=np.float32), dtype=np.float32),
                      DType.F32)
-        if not self.record:
-            return out
 
         def backward(g: Tensor):
             seed = g.f32().reshape(())

@@ -8,8 +8,10 @@ the step, a hash of the config that produced the run, and the loss-scale
 state, which is all a resumed run needs to continue bit-identically. The
 ``var:`` parameter records that older checkpoints also hold are ignored. A
 resume refuses another dtype mode or loss-scale policy kind, with a
-CheckpointError that names both, and a missing or misshapen master; it checks
-all of these before it changes the replica.
+CheckpointError that names both, a missing or misshapen master, and optimizer
+records other than the FP32 slots its optimizer keeps for every trainable
+variable (none before its first step); it checks all of these before it
+changes the replica.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 
 from .distrib import Replica
+from .optim import OPTIMIZER_SLOTS
 from .tensor import DType, Tensor, cast, read_named_tensor, write_named_tensor
 
 WEIGHTS_FILE = "weights.bin"
@@ -81,6 +84,8 @@ def _restore(replica: Replica, manifest: dict, tensors: dict[str, Tensor]) -> No
         var = replica.model.variables[name]
         if master is None or master.shape != var.value.shape or master.dtype is not DType.F32:
             raise CheckpointError(f"checkpoint lacks FP32 master weights of {name!r}")
+    optimizer_t = int(manifest["optimizer_t"])
+    slots = _checked_slots(replica, optimizer_t, tensors)
     try:
         replica.state.scale_state.load_dict(manifest["loss_scale_state"])
     except ValueError as e:
@@ -90,9 +95,26 @@ def _restore(replica: Replica, manifest: dict, tensors: dict[str, Tensor]) -> No
         replica.state.master[name] = master
         # apply_update's refresh, so an FP32 parameter is its master again
         var.value = cast(master, var.value.dtype)
-    replica.optimizer.slots = {}
-    for key, t in tensors.items():
-        if key.startswith("opt:"):
-            _, var_name, slot_name = key.split(":", 2)
-            replica.optimizer.slots.setdefault(var_name, {})[slot_name] = t.f32().copy()
-    replica.optimizer.t = int(manifest["optimizer_t"])
+    replica.optimizer.slots = {name: {slot: t.f32().copy() for slot, t in per_var.items()}
+                               for name, per_var in slots.items()}
+    replica.optimizer.t = optimizer_t
+
+
+def _checked_slots(replica: Replica, t: int, tensors: dict[str, Tensor]
+                   ) -> dict[str, dict[str, Tensor]]:
+    """The ``opt:`` records, which must be exactly the FP32 slots that the
+    replica's optimizer keeps for every trainable variable after ``t`` steps."""
+    kept = OPTIMIZER_SLOTS[replica.optimizer.kind] if t > 0 else ()
+    wanted = {f"opt:{name}:{slot}": (name, slot)
+              for name in sorted(replica.state.master) for slot in kept}
+    for key in tensors:
+        if key.startswith("opt:") and key not in wanted:
+            raise CheckpointError(f"checkpoint holds the optimizer record {key!r}, which a "
+                                  f"{replica.optimizer.kind} optimizer at step {t} does not keep")
+    slots: dict[str, dict[str, Tensor]] = {}
+    for key, (name, slot) in wanted.items():
+        record, shape = tensors.get(key), replica.model.variables[name].value.shape
+        if record is None or record.shape != shape or record.dtype is not DType.F32:
+            raise CheckpointError(f"checkpoint lacks the FP32 {shape} optimizer record {key!r}")
+        slots.setdefault(name, {})[slot] = record
+    return slots

@@ -96,10 +96,10 @@ def _edit_distance(flat: np.ndarray, lengths: np.ndarray) -> int:
     return int(dist.sum())
 
 
-def bleu4(hypotheses: list[list[str]], references: list[list[str]]) -> float:
+def bleu4(hypotheses: list[list], references: list[list]) -> float:
     """Corpus BLEU with 4-gram clipped precisions and brevity penalty, in [0, 100].
 
-    Inputs are pre-tokenized token lists, one reference per hypothesis.
+    Inputs are token lists (strings or ids), one reference per hypothesis.
     The geometric mean is unsmoothed: any empty n-gram precision zeroes the
     whole score.
     """
@@ -123,7 +123,7 @@ def bleu4(hypotheses: list[list[str]], references: list[list[str]]) -> float:
     return 100.0 * brevity * math.exp(log_precision)
 
 
-def wer(hypotheses: list[list[str]], references: list[list[str]]) -> float:
+def wer(hypotheses: list[list], references: list[list]) -> float:
     """Word error rate: total edit distance over total reference words, x100."""
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis/reference counts differ")

@@ -15,6 +15,8 @@ from .tensor import DType, Tensor
 # each kind and the keyword arguments it reads; config.validate rejects the others
 OPTIMIZER_PARAMS = {"sgd": (), "momentum": ("momentum",),
                     "adam": ("beta1", "beta2", "epsilon")}
+# the slots each kind keeps for every trainable variable once it has stepped
+OPTIMIZER_SLOTS = {"sgd": (), "momentum": ("m",), "adam": ("m", "v")}
 LR_POLICY_PARAMS = {"constant": ("learning_rate",),
                     "exp_decay": ("learning_rate", "decay_rate", "decay_steps", "staircase")}
 

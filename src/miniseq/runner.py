@@ -76,6 +76,9 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog, step: int,
 
     Both passes run on tapes that record nothing, and greedy decoding reuses
     the encoding of the teacher-forced pass, so each batch is encoded once.
+    BLEU, WER and exact match score the token ids without decoding them:
+    every id is below the vocabulary size, where ids and tokens correspond
+    one to one, so the scores are those of the decoded tokens.
     """
     losses, accs = [], []
     hyps, refs = [], []
@@ -89,8 +92,8 @@ def evaluate(config: Config, replica: Replica, log: MetricsLog, step: int,
                                       max_len=config.infer_max_len, rep=rep)
         ref_lens = batch.target_mask.sum(axis=1).astype(np.int64) - 1  # trailing eos excluded
         for ids, target, n in zip(decoded, batch.target_ids.tolist(), ref_lens.tolist()):
-            hyps.append(layer.vocab.decode(ids))
-            refs.append(layer.vocab.decode(target[:n]))
+            hyps.append(ids)
+            refs.append(target[:n])
     summary = {
         "loss": float(np.mean(losses)),
         "token_accuracy": float(np.mean(accs)),

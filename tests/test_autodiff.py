@@ -600,6 +600,33 @@ class TestNoRecordTape:
         with pytest.raises(ValueError, match="empty tape"):
             backward(idle, 1.0)
 
+    def test_every_op_covers_every_public_op(self):
+        tape = Tape("mixed")
+        ops = {name for name, f in vars(Tape).items() if callable(f) and not name.startswith("_")}
+        ops -= {"leaf", "constant", "activation_bytes"}
+        called = set()
+        for name in ops:
+            method = getattr(tape, name)
+            setattr(tape, name, lambda *a, _name=name, _method=method:
+                    called.add(_name) or _method(*a))
+        self.every_op(tape, np.random.default_rng(8))
+        assert called == ops
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_an_op_that_only_emits_is_recorded_as_the_tape_says(self, record):
+        def double(tape, x):
+            return tape._emit("double", [x], f32(x.f32() * 2), lambda g: [f32(g.f32() * 2)])
+
+        tape = Tape("float32", record=record)
+        x = tape.leaf(var("x", np.arange(3.0)))
+        out = double(tape, x)
+        assert out.data.tolist() == [0.0, 2.0, 4.0]
+        if record:
+            assert [op.kind for op in tape.ops] == ["double"]
+            assert backward(tape, 1.0)["x"].data.tolist() == [2.0, 2.0, 2.0]
+        else:
+            assert tape.ops == []
+
 
 def _mask(rng, shape):
     """A 0/1 mask with the first position of every row valid."""

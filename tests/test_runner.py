@@ -520,6 +520,54 @@ class TestCheckpoint:
             load_checkpoint(cfg.checkpoint_dir, replica)
         assert state() == before
 
+    @pytest.mark.parametrize("damage", ["stripped", "misshapen", "stray"])
+    def test_optimizer_records_other_than_the_slots_are_refused(self, tmp_path, damage):
+        from miniseq.tensor import Tensor, read_named_tensor, write_named_tensor
+        cfg = base_config(tmp_path, dtype="mixed", loss_scaling="Backoff", max_steps=3,
+                          eval_every=0)
+        run(cfg, "train")
+        path = os.path.join(cfg.checkpoint_dir, "weights.bin")
+        with open(path, "rb") as f:
+            records = list(iter(lambda: read_named_tensor(f), None))
+        slots = [name for name, _ in records if name.startswith("opt:")]
+        assert len(slots) == 2 * len(build_replica(cfg, 0, 1).state.master)  # Adam's m and v
+        with open(path, "wb") as f:
+            for name, t in records:
+                if name == "opt:enc/l0/w:m" and damage == "misshapen":
+                    t = Tensor(t.data.reshape(-1)[:-1].copy(), t.dtype)
+                if not name.startswith("opt:") or damage != "stripped":
+                    write_named_tensor(f, name, t)
+            if damage == "stray":
+                write_named_tensor(f, "opt:enc/l0/w:u", Tensor.from_array(np.zeros(1)))
+        files = {name: (tmp_path / "ckpt" / name).read_bytes()
+                 for name in ("weights.bin", "manifest.json", "metrics.csv")}
+
+        replica = build_replica(cfg, 0, 1)
+        WorkerGroup([replica]).run_step(0)
+
+        def state():
+            return (replica.parameter_digest(), replica.optimizer.t,
+                    {(v, k): a.tobytes() for v, d in replica.optimizer.slots.items()
+                     for k, a in d.items()}, replica.state.scale_state.to_dict())
+
+        before = state()
+        first = {"stripped": "'opt:dec/b:m'", "misshapen": "'opt:enc/l0/w:m'",
+                 "stray": "'opt:enc/l0/w:u'"}[damage]
+        with pytest.raises(CheckpointError, match=first):
+            load_checkpoint(cfg.checkpoint_dir, replica)
+        assert state() == before
+        with pytest.raises(CheckpointError, match=first):
+            run(base_config(tmp_path, dtype="mixed", loss_scaling="Backoff", max_steps=6,
+                            eval_every=0), "train")
+        assert {name: (tmp_path / "ckpt" / name).read_bytes() for name in files} == files
+
+    def test_a_checkpoint_before_the_first_step_resumes_without_slots(self, tmp_path):
+        cfg = base_config(tmp_path, max_steps=2, eval_every=0)
+        save_checkpoint(cfg.checkpoint_dir, build_replica(cfg, 0, 1), 0, cfg.content_hash())
+        run(cfg, "train")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert (manifest["step"], manifest["optimizer_t"]) == (2, 2)
+
     def test_scale_state_without_a_field_restores_nothing(self, tmp_path):
         from miniseq.mixed_precision import BackoffScale
         policy = BackoffScale(scale=2.0 ** 20)
@@ -794,6 +842,51 @@ class TestRunModes:
         result = run(cfg, "eval")
         for key in ("loss", "token_accuracy", "bleu", "wer", "exact_match"):
             assert key in result.summary
+
+    def test_evaluate_scores_ids_as_their_decoded_tokens(self, tmp_path, monkeypatch):
+        from miniseq.blocks import UNK_ID, Seq2SeqModel
+        train = ["a b c d e", "e d c b a", "b c d e a", "c a e b d"]
+        # "zz" is not in the training vocabulary: its reference id is UNK_ID
+        evals = ["a b c d e", "b zz d e a", "e d c zz a b", "c d e a", "d a zz b c", "a e b d c"]
+        files = {}
+        for name, lines in (("src", train), ("tgt", train), ("esrc", evals), ("etgt", evals)):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = base_config(
+            tmp_path, data_layer="parallel_text",
+            data_layer_params={"source_file": str(files["src"]),
+                               "target_file": str(files["tgt"]),
+                               "eval_source_file": str(files["esrc"]),
+                               "eval_target_file": str(files["etgt"])},
+            eval_batches=3, batch_size_per_gpu=2)
+        layer = runner._eval_layer(cfg)
+        assert UNK_ID in layer.pairs[1][1]
+        rows = itertools.count()
+        decodes = []
+
+        def echo(self, source_ids, source_mask, max_len=32, *, rep=None):
+            """Each reference, with one word changed in every row but every third."""
+            out = []
+            for _ in range(len(source_ids)):
+                i = next(rows)
+                ids = list(layer.pairs[i][1])
+                if i % 3:
+                    j = i % len(ids)
+                    ids[j] = layer.vocab.token_to_id["a"] if ids[j] == UNK_ID else UNK_ID
+                out.append(ids)
+            decodes.extend(out)
+            return out
+
+        monkeypatch.setattr(Seq2SeqModel, "greedy_decode", echo)
+        summary = evaluate(cfg, build_replica(cfg, 0, 1), MetricsLog(), 0, layer)
+        hyps = [layer.vocab.decode(ids) for ids in decodes]
+        refs = [layer.vocab.decode(t) for _, t in layer.pairs]
+        assert "<unk>" in refs[1]
+        assert 0 < summary["bleu"] < 100
+        assert summary["bleu"] == bleu4(hyps, refs)
+        assert summary["wer"] == wer(hyps, refs)
+        assert summary["exact_match"] == float(np.mean([h == r for h, r in zip(hyps, refs)]))
+        assert 0 < summary["exact_match"] < 1
 
     def test_infer_requires_paths(self, tmp_path):
         cfg = base_config(tmp_path, max_steps=2)
