@@ -12,11 +12,11 @@ Replica.apply, so they end with bit-identical weights.
 A group step first computes every local rank's loss and gradients on one
 tape, their weights and batches stacked on a leading replica axis
 (forward_backward_all). In process, the per-rank rest of an allreduce step
-runs on a thread pool, and the ranks take turns: a rank works only while it
-holds the transport's turn, a lock that its recv gives up while it waits for
-a frame. That buys no parallelism, so the pool's threads share one CPU and a
-hand-off wakes the next rank on a warm core; one OS process per rank over
-TcpTransport is the path to using more than one core.
+runs on a thread pool, where each rank waits only on its own ring edge: no
+lock orders the ranks. That phase is short and mostly hand-offs, so the
+pool's threads share one CPU and a hand-off wakes the next rank on a warm
+core; one OS process per rank over TcpTransport is the path to using more
+than one core.
 
 The ring is an allgather: in K-1 exchanges each rank passes the frame it
 received last to the next rank, so every rank ends with all K contributions
@@ -43,7 +43,6 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -110,36 +109,28 @@ def parse_chunk(payload) -> tuple[int, int, np.ndarray]:
 class InProcessTransport:
     """One FIFO per ring edge (rank r to rank r+1), shared by worker threads.
 
-    Like TcpTransport, it carries ring-neighbor traffic only. The transport
-    also carries a turn: a re-entrant lock that a worker holds for its
-    per-rank phase, so that one worker runs at a time. send and recv take
-    the turn for their own work; recv waits on its edge's condition, which
-    gives the turn up for the wait and takes it back before recv returns.
-    abort wakes every waiting recv at once.
+    Like TcpTransport, it carries ring-neighbor traffic only. Each rank waits
+    only on its own edge; nothing else orders the ranks. abort puts a wake-up
+    item on every edge, so that a waiting recv raises GroupAborted at once,
+    and from then on every send and recv raises it too.
     """
 
     def __init__(self, num_workers: int, timeout: float = 60.0):
         self.num_workers = num_workers
         self.timeout = timeout
         self.aborted = False
-        self._turn = threading.RLock()
-        self._edges = {(r, (r + 1) % num_workers): (deque(), threading.Condition(self._turn))
+        self._edges = {(r, (r + 1) % num_workers): queue.SimpleQueue()
                        for r in range(num_workers)}
 
-    def turn(self) -> threading.RLock:
-        """The lock a worker holds while it computes."""
-        return self._turn
-
     def abort(self):
-        with self._turn:
-            self.aborted = True
-            for _, ready in self._edges.values():
-                ready.notify_all()
+        self.aborted = True
+        for frames in self._edges.values():
+            frames.put(None)
 
     def close(self):
         """Nothing to release: the edges are plain queues."""
 
-    def _edge(self, src: int, dst: int) -> tuple[deque, threading.Condition]:
+    def _edge(self, src: int, dst: int) -> queue.SimpleQueue:
         edge = self._edges.get((src, dst))
         if edge is None:
             raise TransportError(
@@ -147,21 +138,22 @@ class InProcessTransport:
         return edge
 
     def send(self, src: int, dst: int, message: bytes) -> None:
-        frames, ready = self._edge(src, dst)
-        with self._turn:
-            if self.aborted:
-                raise GroupAborted()
-            frames.append(message)
-            ready.notify()
+        frames = self._edge(src, dst)
+        if self.aborted:
+            raise GroupAborted()
+        frames.put(message)
 
     def recv(self, src: int, dst: int) -> bytes:
-        frames, ready = self._edge(src, dst)
-        with self._turn:
-            if not ready.wait_for(lambda: frames or self.aborted, self.timeout):
-                raise TransportError(f"recv timeout on edge {src}->{dst}")
-            if self.aborted:
-                raise GroupAborted()
-            return frames.popleft()
+        frames = self._edge(src, dst)
+        if self.aborted:  # another recv may have taken this edge's wake-up item
+            raise GroupAborted()
+        try:
+            message = frames.get(timeout=self.timeout)
+        except queue.Empty:
+            raise TransportError(f"recv timeout on edge {src}->{dst}") from None
+        if self.aborted:
+            raise GroupAborted()
+        return message
 
 
 class TcpTransport:
@@ -510,11 +502,10 @@ def forward_backward_all(replicas: list[Replica], step: int) -> list[tuple]:
 
 
 def distributed_train_step(replica: Replica, transport, rank: int, num_workers: int,
-                           step: int, computed: tuple | None = None) -> StepMetrics:
+                           step: int, computed: tuple) -> StepMetrics:
     """One synchronous data-parallel step (allreduce mode), run per worker from
-    its share of forward_backward_all, ``computed`` (made here when None);
-    the tokens are this worker's."""
-    _, loss, grads, tokens = computed or forward_backward_all([replica], step)[0]
+    its share of forward_backward_all, ``computed``; the tokens are this worker's."""
+    _, loss, grads, tokens = computed
     grads, finite = replica.check(step, grads)
     any_overflow = allreduce_flag_or(transport, rank, num_workers, not finite, step)
     if any_overflow:
@@ -526,15 +517,14 @@ def distributed_train_step(replica: Replica, transport, rank: int, num_workers: 
     return StepMetrics(step, loss, True, replica.scale, grad_norm, lr, tokens)
 
 
-def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
+def tower_train_step(replicas: list[Replica], step: int, computed: list[tuple]) -> StepMetrics:
     """Single-process aggregation over towers that share one parameter store:
-    every tower's gradients (forward_backward_all), then the rank-order sum of
-    their flattened grads averaged and applied once, or on any overflow one
-    back-off of the scale. The tokens are all the towers'."""
-    results = forward_backward_all(replicas, step)
-    checked = [r.check(step, grads) for r, (_, _, grads, _) in zip(replicas, results)]
-    tokens = sum(tok for *_, tok in results)
-    mean_loss = float(np.mean([loss for _, loss, _, _ in results]))
+    from every tower's share of forward_backward_all, ``computed``, the
+    rank-order sum of their flattened grads averaged and applied once, or on
+    any overflow one back-off of the scale. The tokens are all the towers'."""
+    checked = [r.check(step, grads) for r, (_, _, grads, _) in zip(replicas, computed)]
+    tokens = sum(tok for *_, tok in computed)
+    mean_loss = float(np.mean([loss for _, loss, _, _ in computed]))
     if not all(finite for _, finite in checked):
         replicas[0].on_overflow()
         return StepMetrics(step, mean_loss, False, replicas[0].scale, None, None, tokens)
@@ -546,17 +536,15 @@ def tower_train_step(replicas: list[Replica], step: int) -> StepMetrics:
 
 def _rank_step(replica: Replica, transport: InProcessTransport, rank: int,
                num_workers: int, step: int, computed: tuple) -> StepMetrics:
-    """One rank's share of an allreduce step on a pool thread, run while it holds the turn.
+    """One rank's share of an allreduce step on a pool thread.
 
     A failure aborts the transport so that the other ranks stop waiting.
     """
-    with transport.turn():
-        try:
-            return distributed_train_step(replica, transport, rank, num_workers, step,
-                                          computed)
-        except BaseException:
-            transport.abort()
-            raise
+    try:
+        return distributed_train_step(replica, transport, rank, num_workers, step, computed)
+    except BaseException:
+        transport.abort()
+        raise
 
 
 def _pin_thread(cpu: int):
@@ -577,13 +565,15 @@ class WorkerGroup:
     Every step starts with one forward_backward_all over the local ranks, in
     the calling thread. Mode "allreduce" with K > 1 in process then runs the
     K ranks' per-rank phases on a pool of K threads, created on the first
-    step, that take turns on the transport and meet in the ring collectives.
-    The pool's threads are pinned to the caller's lowest allowed CPU, as
-    one rank runs at a time anyway; the caller's thread stays unpinned.
-    close() stops the threads, and so does dropping the group: a pool thread
-    runs the module-level _rank_step and holds no reference to the group.
-    mode "tower" makes replicas 1..K-1 share rank 0's parameter store once,
-    here, and steps the K towers in the calling thread (tower_train_step).
+    step, where each rank waits only on its own ring edge and the ranks meet
+    in the ring collectives. The phase is short and mostly hand-offs, so the
+    pool's threads are pinned to the caller's lowest allowed CPU, where a
+    hand-off wakes the next rank on a warm core; the caller's thread stays
+    unpinned. close() stops the threads, and so does dropping the group: a
+    pool thread runs the module-level _rank_step and holds no reference to
+    the group. mode "tower" makes replicas 1..K-1 share rank 0's parameter
+    store once, here, and steps the K towers in the calling thread
+    (tower_train_step).
     """
 
     def __init__(self, replicas: list[Replica], mode: str = "allreduce",
@@ -611,37 +601,39 @@ class WorkerGroup:
         """One group step: rank 0's metrics after the consensus checks (this
         rank's, on TCP), with the group's tokens and the step's wall time."""
         t0 = time.perf_counter()
+        computed = forward_backward_all(self.replicas, step)
         if self.mode == "tower":
-            metrics = tower_train_step(self.replicas, step)
-        elif len(self.replicas) == 1:
-            metrics = distributed_train_step(self.replicas[0], self.transport, self.rank,
-                                             self.num_workers, step)
-            metrics.tokens *= self.num_workers  # every rank's shard counts as this one's
+            metrics = tower_train_step(self.replicas, step, computed)
         else:
-            if self.transport.aborted:
-                raise TransportError(f"step {step}: the group was aborted by an earlier failure")
-            if self._pool is None:
-                cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
-                pin = ({"initializer": _pin_thread, "initargs": (min(cpus),)}
-                       if len(cpus) > 1 else {})
-                self._pool = ThreadPoolExecutor(self.num_workers,
-                                                thread_name_prefix="miniseq-worker", **pin)
-            computed = forward_backward_all(self.replicas, step)
-            futures = [self._pool.submit(_rank_step, replica, self.transport, rank,
-                                         self.num_workers, step, part)
-                       for rank, (replica, part) in enumerate(zip(self.replicas, computed))]
-            errors = [f.exception() for f in futures]  # waits for every rank
-            failures = [(rank, e) for rank, e in enumerate(errors) if e is not None]
-            if failures:
-                # the cause, not a rank that only saw the abort it triggered
-                rank, err = next(((r, e) for r, e in failures
-                                  if not isinstance(e, GroupAborted)), failures[0])
-                raise TransportError(f"rank {rank} failed at step {step}: {err}") from err
-            results = [f.result() for f in futures]
+            if len(self.replicas) == 1:
+                results = [distributed_train_step(self.replicas[0], self.transport, self.rank,
+                                                  self.num_workers, step, computed[0])]
+            else:
+                if self.transport.aborted:
+                    raise TransportError(
+                        f"step {step}: the group was aborted by an earlier failure")
+                if self._pool is None:
+                    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
+                    pin = ({"initializer": _pin_thread, "initargs": (min(cpus),)}
+                           if len(cpus) > 1 else {})
+                    self._pool = ThreadPoolExecutor(self.num_workers,
+                                                    thread_name_prefix="miniseq-worker", **pin)
+                futures = [self._pool.submit(_rank_step, replica, self.transport, rank,
+                                             self.num_workers, step, part)
+                           for rank, (replica, part) in enumerate(zip(self.replicas, computed))]
+                errors = [f.exception() for f in futures]  # waits for every rank
+                failures = [(rank, e) for rank, e in enumerate(errors) if e is not None]
+                if failures:
+                    # the cause, not a rank that only saw the abort it triggered
+                    rank, err = next(((r, e) for r, e in failures
+                                      if not isinstance(e, GroupAborted)), failures[0])
+                    raise TransportError(f"rank {rank} failed at step {step}: {err}") from err
+                results = [f.result() for f in futures]
             if len({m.applied for m in results}) != 1:
                 raise RuntimeError("flag consensus violated: mixed applied/skipped outcomes")
             metrics = results[0]
-            metrics.tokens = sum(m.tokens for m in results)
+            # a lone rank counts every rank's shard as its own
+            metrics.tokens = sum(m.tokens for m in results) * self.num_workers / len(results)
         metrics.seconds = time.perf_counter() - t0
         return metrics
 

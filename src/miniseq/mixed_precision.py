@@ -133,6 +133,12 @@ class BackoffScale(StaticScale):
                  growth_factor: float = 2.0, growth_interval: int = 200,
                  scale_min: float = 1.0, scale_max: float = 2.0 ** 24):
         super().__init__(scale, scale_min, scale_max)
+        if not backoff_factor > 1:
+            raise ValueError(f"backoff_factor must be > 1, got {backoff_factor}")
+        if not growth_factor >= 1:
+            raise ValueError(f"growth_factor must be >= 1, got {growth_factor}")
+        if growth_interval < 1:
+            raise ValueError(f"growth_interval must be >= 1, got {growth_interval}")
         self.backoff_factor = float(backoff_factor)
         self.growth_factor = float(growth_factor)
         self.growth_interval = int(growth_interval)
@@ -167,6 +173,8 @@ class LogMaxScale(StaticScale):
     def __init__(self, scale: float = 2.0 ** 15, decay: float = 0.99, margin: int = 2,
                  scale_min: float = 1.0, scale_max: float = 2.0 ** 24):
         super().__init__(scale, scale_min, scale_max)
+        if not 0 <= decay < 1:
+            raise ValueError(f"decay must lie in [0, 1), got {decay}")
         self.decay = float(decay)
         self.margin = int(margin)
         self.mean = None

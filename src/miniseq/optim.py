@@ -34,6 +34,8 @@ class LRPolicy:
             raise ValueError("learning_rate must be positive")
         if not 0 < decay_rate <= 1:
             raise ValueError("decay_rate must lie in (0, 1]")
+        if decay_steps < 1:  # 0 divides by zero, a negative count grows the rate
+            raise ValueError(f"decay_steps must be >= 1, got {decay_steps}")
         self.kind = kind
         self.learning_rate = float(learning_rate)
         self.decay_rate = float(decay_rate)
@@ -59,6 +61,11 @@ class Optimizer:
         kind = kind.lower()  # config files write "Adam"
         if kind not in OPTIMIZER_PARAMS:
             raise ValueError(f"unknown optimizer {kind!r}")
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0 <= beta < 1:  # a beta of 1 makes the bias correction divide 0 by 0
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+        if not epsilon > 0:  # 0 leaves 0/0 where a gradient never reached m and v
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.kind = kind
         self.momentum = float(momentum)
         self.beta1 = float(beta1)

@@ -4,9 +4,9 @@ A run is described by a Config; this module builds the worker group, drives
 the step loop, logs metrics, and handles checkpoints. Every training run goes
 through one driver, _train, which steps the WorkerGroup of the ranks in its
 process: with the in-process transport that is all of them, on a thread pool
-where they take turns (see distrib.WorkerGroup); with the TCP transport the
-runner spawns one OS process per rank, each running _train on the caller's
-Config as a one-rank group that joins the ring.
+where each rank waits only on its own ring edge (see distrib.WorkerGroup);
+with the TCP transport the runner spawns one OS process per rank, each
+running _train on the caller's Config as a one-rank group that joins the ring.
 """
 
 from __future__ import annotations

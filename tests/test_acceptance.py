@@ -676,10 +676,13 @@ def test_c12_end_to_end_cli(tmp_path):
     }
     cfg_path = tmp_path / "reverse.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
     def cli(*args, timeout=170):
         r = subprocess.run([sys.executable, "-m", "miniseq.cli", *args],
-                           capture_output=True, text=True, timeout=timeout)
+                           capture_output=True, text=True, timeout=timeout, env=env)
         assert r.returncode == 0, r.stderr
         return r
 

@@ -293,7 +293,7 @@ class TestWorkerGroups:
         k = 2
         replicas = [small_replica(0, 1, batch_size=4) for _ in range(k)]
         solo = small_replica(0, 1, batch_size=4)
-        tower_train_step(replicas, 0)
+        tower_train_step(replicas, 0, forward_backward_all(replicas, 0))
         tape, loss, grads, finite, _ = solo.forward_backward(0)
         solo.apply(solo.unscale(grads), 0)
         for name, v in solo.model.variables.items():
@@ -475,31 +475,6 @@ def test_benchmark_model_allreduce_step_traffic():
     assert sum(sent) == 744_564
 
 
-class TestTurn:
-    def test_recv_lends_the_turn_while_it_waits(self):
-        tr = InProcessTransport(2, timeout=5.0)
-        taken = []
-
-        def rank1():
-            with tr.turn():  # blocks forever if rank 0 keeps the turn while it waits
-                tr.send(1, 0, b"x")
-
-        def try_turn():
-            taken.append(tr.turn().acquire(timeout=0.1))
-
-        with tr.turn():
-            t = threading.Thread(target=rank1)
-            t.start()
-            assert tr.recv(1, 0) == b"x"
-            probe = threading.Thread(target=try_turn)  # taken back before return
-            probe.start()
-            probe.join(timeout=10.0)
-            assert not probe.is_alive()
-            assert taken == [False]
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-
-
 class TestInProcessTransport:
     def test_non_neighbor_traffic_rejected(self):
         tr = InProcessTransport(3, timeout=5.0)
@@ -537,6 +512,17 @@ class TestInProcessTransport:
         with pytest.raises(GroupAborted):
             tr.send(0, 1, b"z")
 
+    def test_recv_after_abort_raises_at_once(self):
+        tr = InProcessTransport(2, timeout=60.0)
+        tr.send(0, 1, b"x")
+        tr.abort()  # no receiver waits: the wake-up items stay on the edges
+        for src, dst in ((0, 1), (1, 0)):  # an edge that holds a frame, an empty one
+            for _ in range(2):  # twice: a second recv may find no wake-up item left
+                t0 = time.perf_counter()
+                with pytest.raises(GroupAborted):
+                    tr.recv(src, dst)
+                assert time.perf_counter() - t0 < 1.0
+
 
 class TestSingleCopyFp32:
     """FP32 is mixed precision with an identity cast: master is the weights."""
@@ -567,7 +553,7 @@ PINS_POOL = pytest.mark.skipif(
 
 
 class TestWorkerPool:
-    """In-process allreduce workers: persistent threads taking turns."""
+    """In-process allreduce workers: persistent threads, each waiting on its own edge."""
 
     def test_unknown_mode_refused(self):
         with pytest.raises(ValueError, match="unknown group mode 'ring'"):
@@ -641,31 +627,29 @@ class TestWorkerPool:
             assert not outcomes["tower"][inf_step][0]
             assert {r.scale for r in tower.replicas + ring.replicas} == {outcomes["tower"][-1][1]}
 
-    def test_workers_compute_one_at_a_time(self):
+    def test_overlapping_ranks_end_with_tower_bits(self):
         k = 8  # more workers than cores
-        replicas = [small_replica(r, k, batch_size=2) for r in range(k)]
-        inside, seen = [0], []
+        groups = {}
+        for mode in ("tower", "allreduce"):
+            replicas = [small_replica(r, k, batch_size=2) for r in range(k)]
+            groups[mode] = WorkerGroup(replicas, mode=mode)
 
         def tap(step, grads):
-            inside[0] += 1
-            seen.append(inside[0])
-            time.sleep(0.001)  # lets any other computing worker run now
-            inside[0] -= 1
+            time.sleep(0.001)  # lets any other rank run now
             return grads
 
-        for r in replicas:
+        for r in groups["allreduce"].replicas:
             r.grad_tap = tap
-        group = WorkerGroup(replicas, mode="allreduce")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for s in range(5):
-                group.run_step(s)
+                for group in groups.values():
+                    group.run_step(s)
         finally:
             sys.setswitchinterval(interval)
-            group.close()
-        assert seen == [1] * (5 * k)
-        assert len(set(group.parameter_digests())) == 1
+            groups["allreduce"].close()
+        assert groups["allreduce"].parameter_digests() == groups["tower"].parameter_digests()
 
     def test_failure_names_rank_and_step_and_stops_the_group(self):
         replicas = [small_replica(r, 4) for r in range(4)]

@@ -172,6 +172,41 @@ class TestConfig:
             parse_config(json.dumps({"dtype": "mixed", "loss_scaling": policy,
                                      "loss_scaling_params": params}))
 
+    @pytest.mark.parametrize("doc,problem", [
+        # 0/0 in Adam's bias correction: NaN losses from step 1
+        ({"optimizer_params": {"beta1": 1.0}}, "optimizer: beta1 must lie in [0, 1), got 1.0"),
+        ({"optimizer_params": {"beta2": 1.0}}, "optimizer: beta2 must lie in [0, 1), got 1.0"),
+        ({"optimizer_params": {"beta1": -0.5}},
+         "optimizer: beta1 must lie in [0, 1), got -0.5"),
+        # 0/0 where m = v = 0: NaN in the embedding rows no batch touches
+        ({"optimizer_params": {"epsilon": 0.0}}, "optimizer: epsilon must be positive, got 0.0"),
+        # a ZeroDivisionError at the first step
+        ({"lr_policy": "exp_decay", "lr_policy_params": {"decay_steps": 0}},
+         "lr_policy: decay_steps must be >= 1, got 0"),
+        # the rate doubles every step
+        ({"lr_policy": "exp_decay", "lr_policy_params": {"decay_steps": -1}},
+         "lr_policy: decay_steps must be >= 1, got -1"),
+    ], ids=["adam-beta1-one", "adam-beta2-one", "adam-beta1-negative", "adam-epsilon-zero",
+            "decay-steps-zero", "decay-steps-negative"])
+    def test_update_breaking_optimizer_and_lr_params_rejected(self, doc, problem):
+        with pytest.raises(ConfigError) as e:
+            parse_config(json.dumps(doc))
+        assert str(e.value) == problem
+
+    @pytest.mark.parametrize("policy,params,problem", [
+        ("Backoff", {"backoff_factor": 0.5}, "backoff_factor must be > 1, got 0.5"),  # grows
+        ("Backoff", {"backoff_factor": 1.0}, "backoff_factor must be > 1, got 1.0"),  # stays
+        ("Backoff", {"growth_factor": 0.5}, "growth_factor must be >= 1, got 0.5"),  # shrinks
+        ("Backoff", {"growth_interval": 0}, "growth_interval must be >= 1, got 0"),  # never grows
+        ("LogMax", {"decay": 1.5}, "decay must lie in [0, 1), got 1.5"),  # negative variance
+    ], ids=["backoff-factor-half", "backoff-factor-one", "growth-factor-half",
+            "growth-interval-zero", "logmax-decay-above-one"])
+    def test_scale_policy_moving_the_wrong_way_rejected(self, policy, params, problem):
+        with pytest.raises(ConfigError) as e:
+            parse_config(json.dumps({"dtype": "mixed", "loss_scaling": policy,
+                                     "loss_scaling_params": params}))
+        assert str(e.value) == f"loss_scaling: {problem}"
+
     @pytest.mark.parametrize("doc,key", [
         ({"optimizer": "sgd", "optimizer_params": {"beta1": 0.5}}, "'beta1'"),
         ({"optimizer": "Momentum", "optimizer_params": {"epsilon": 1e-6}}, "'epsilon'"),
@@ -1014,10 +1049,13 @@ class TestCli:
         cfg_path = tmp_path / "c.json"
         cfg = base_config(tmp_path, max_steps=3)
         cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         r = subprocess.run(
             [sys.executable, "-m", "miniseq.cli", "--config_file", str(cfg_path),
              "--mode", "train", "--enable_logs"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert r.returncode == 0, r.stderr
         assert "step 0" in r.stdout
 
